@@ -110,7 +110,7 @@ func (a *Assigner) InformationGain(u WorkerID, c Cell) float64 {
 	if m == nil {
 		return 0
 	}
-	return assign.InfoGain(m, u, c)
+	return assign.InfoGain(&m.Posterior, u, c)
 }
 
 func (a *Assigner) model() *core.Model { return a.sys.Model() }

@@ -181,7 +181,7 @@ func BenchmarkAblation_StructureAware(b *testing.B) {
 	}
 	em := assign.BuildErrorModel(m)
 	est := m.Estimates()
-	st := &assign.State{Model: m, Log: log, Est: est, Err: em, RNG: stats.NewRNG(21)}
+	st := &assign.State{Model: &m.Posterior, Log: log, Est: est, Err: em, RNG: stats.NewRNG(21)}
 	u := m.WorkerIDs[0]
 	b.Run("inherent", func(b *testing.B) {
 		p := assign.InherentIG{Parallelism: 1}
@@ -351,7 +351,7 @@ func BenchmarkInfoGainScoring(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cells {
-			assign.InfoGain(m, u, c)
+			assign.InfoGain(&m.Posterior, u, c)
 		}
 	}
 }

@@ -772,7 +772,7 @@ func benchInfoGain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cells {
-			assign.InfoGain(m, u, c)
+			assign.InfoGain(&m.Posterior, u, c)
 		}
 	}
 }

@@ -17,18 +17,91 @@ import (
 	"tcrowd/internal/tabular"
 )
 
-// State is everything a selection policy may consult: the fitted inference
-// model, the answers so far, the (optional) attribute-correlation error
-// model, and a random stream for tie-breaking.
+// State is everything a selection policy may consult: the fitted
+// posterior (a live model's own, or a frozen copy — see Frozen), the
+// answers so far, the (optional) attribute-correlation error model, and a
+// random stream for tie-breaking.
 type State struct {
-	Model *core.Model
+	Model *core.Posterior
 	Log   *tabular.AnswerLog
+	// Fitted is the number of Log answers Model reflects; CatchUp folds
+	// the rest in.
+	Fitted int
 	// Est caches Model.Estimates() for the current refresh.
 	Est metrics.Estimates
 	// Err is the fitted attribute-correlation model; nil for policies that
 	// do not use structure.
 	Err *ErrorModel
 	RNG *rand.Rand
+}
+
+// NewState builds the assignment state around a freshly fitted model: its
+// estimate grid and, when structure is set, the error model fitted against
+// it. log is the answer log policies consult.
+func NewState(m *core.Model, log *tabular.AnswerLog, structure bool) *State {
+	st := &State{Model: &m.Posterior, Log: log, Est: m.Estimates()}
+	if structure {
+		st.Err = NewErrorModel(m)
+		st.Err.Rebuild(st.Est)
+	}
+	return st
+}
+
+// Refreshed folds one streaming refresh of st's model (described by rs)
+// into st in place — the zero-allocation steady-state path. A
+// deferred-polish refresh changed only the rs.Cells posteriors, so exactly
+// those estimates are re-extracted and the error model's accumulators
+// adjusted (UpdateCells); a polished refresh moved the global parameters,
+// so the estimate grid is refilled and the error model rebuilt — both into
+// the arenas the state already owns.
+func (st *State) Refreshed(rs core.RefreshStats) {
+	m := st.Model
+	if rs.Polished {
+		m.EstimatesInto(st.Est)
+	} else {
+		nCols := m.Table.NumCols()
+		for _, key := range rs.Cells {
+			st.Est[key/nCols][key%nCols] = m.EstimateCell(key/nCols, key%nCols)
+		}
+	}
+	switch {
+	case st.Err == nil:
+		return
+	case rs.Polished:
+		st.Err.Rebuild(st.Est)
+	default:
+		st.Err.UpdateCells(st.Est, rs.Cells)
+	}
+}
+
+// CatchUp folds the answers appended to st.Log since st.Model was fitted
+// into its posteriors (core.Posterior.Observe), so a frozen copy scoring
+// between refits does not hand out the same cells again and again. Only
+// for frozen copies: a live state's posterior belongs to its model's EM.
+func (st *State) CatchUp() {
+	all := st.Log.All()
+	for _, a := range all[st.Fitted:] {
+		st.Model.Observe(a)
+	}
+	st.Fitted = len(all)
+}
+
+// Frozen returns a detached scoring copy of st: a deep copy of the
+// posterior and of the error model's fitted distributions, so st's model
+// can keep refreshing while the copy is scored. est must hold the same
+// estimates as st.Est and never change (a published snapshot's grid);
+// log is the answer log the copy's policies, row errors and CatchUp read,
+// of which the first fitted answers are the ones the posterior reflects.
+// Callers serialise use of the copy (CatchUp advances it) and hold
+// whatever guards log. The copy has no RNG: it serves the deterministic
+// policies (InherentIG, StructureIG).
+func (st *State) Frozen(est metrics.Estimates, log *tabular.AnswerLog, fitted int) *State {
+	post := st.Model.Clone()
+	fr := &State{Model: post, Log: log, Fitted: fitted, Est: est}
+	if st.Err != nil {
+		fr.Err = st.Err.Frozen(post, log)
+	}
+	return fr
 }
 
 // Policy selects which cells to hand to an arriving worker. All policies
@@ -38,14 +111,6 @@ type Policy interface {
 	Name() string
 	// Select returns up to k cells for worker u, best first.
 	Select(st *State, u tabular.WorkerID, k int) []tabular.Cell
-}
-
-// WorkerGate is an optional System extension: the platform installs a
-// predicate deciding whether a worker may receive tasks at all (the
-// reputation layer's quarantine hook). A gated-out worker gets no cells
-// from Select, whatever the policy would have scored for them.
-type WorkerGate interface {
-	SetWorkerGate(allow func(tabular.WorkerID) bool)
 }
 
 // System is a complete crowdsourcing pipeline for the end-to-end comparison

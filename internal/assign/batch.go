@@ -19,7 +19,7 @@ import (
 // ExactBatch returns the size-k subset of cands maximising the summed
 // information gain for worker u, by exhaustive search. The search space is
 // C(len(cands), k); callers must keep len(cands) small (say <= 25).
-func ExactBatch(m *core.Model, u tabular.WorkerID, cands []tabular.Cell, k int) ([]tabular.Cell, float64) {
+func ExactBatch(m *core.Posterior, u tabular.WorkerID, cands []tabular.Cell, k int) ([]tabular.Cell, float64) {
 	if k <= 0 || len(cands) == 0 {
 		return nil, 0
 	}
@@ -64,7 +64,7 @@ func ExactBatch(m *core.Model, u tabular.WorkerID, cands []tabular.Cell, k int) 
 
 // GreedyBatch returns the greedy top-K cells by information gain along with
 // the summed gain, for comparison against ExactBatch.
-func GreedyBatch(m *core.Model, u tabular.WorkerID, cands []tabular.Cell, k int) ([]tabular.Cell, float64) {
+func GreedyBatch(m *core.Posterior, u tabular.WorkerID, cands []tabular.Cell, k int) ([]tabular.Cell, float64) {
 	if k <= 0 || len(cands) == 0 {
 		return nil, 0
 	}

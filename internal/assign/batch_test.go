@@ -15,8 +15,8 @@ func TestExactBatchMatchesGreedyOnAdditiveGains(t *testing.T) {
 	u := m.WorkerIDs[0]
 	cands := m.Table.Cells()[:18]
 	for _, k := range []int{1, 3, 6} {
-		exactCells, exactGain := ExactBatch(m, u, cands, k)
-		greedyCells, greedyGain := GreedyBatch(m, u, cands, k)
+		exactCells, exactGain := ExactBatch(&m.Posterior, u, cands, k)
+		greedyCells, greedyGain := GreedyBatch(&m.Posterior, u, cands, k)
 		if len(exactCells) != k || len(greedyCells) != k {
 			t.Fatalf("k=%d: sizes %d/%d", k, len(exactCells), len(greedyCells))
 		}
@@ -30,14 +30,14 @@ func TestExactBatchEdgeCases(t *testing.T) {
 	_, m := fittedModel(t, 91)
 	u := m.WorkerIDs[0]
 	cands := m.Table.Cells()[:5]
-	if cells, _ := ExactBatch(m, u, cands, 0); cells != nil {
+	if cells, _ := ExactBatch(&m.Posterior, u, cands, 0); cells != nil {
 		t.Fatal("k=0 should select nothing")
 	}
-	if cells, _ := ExactBatch(m, u, nil, 3); cells != nil {
+	if cells, _ := ExactBatch(&m.Posterior, u, nil, 3); cells != nil {
 		t.Fatal("no candidates should select nothing")
 	}
 	// k larger than the pool clamps.
-	cells, _ := ExactBatch(m, u, cands, 99)
+	cells, _ := ExactBatch(&m.Posterior, u, cands, 99)
 	if len(cells) != 5 {
 		t.Fatalf("clamped k: %d", len(cells))
 	}
@@ -54,10 +54,10 @@ func TestGreedyBatchGainIsSumOfInfoGains(t *testing.T) {
 	_, m := fittedModel(t, 92)
 	u := m.WorkerIDs[0]
 	cands := m.Table.Cells()[:10]
-	cells, total := GreedyBatch(m, u, cands, 4)
+	cells, total := GreedyBatch(&m.Posterior, u, cands, 4)
 	want := 0.0
 	for _, c := range cells {
-		want += InfoGain(m, u, c)
+		want += InfoGain(&m.Posterior, u, c)
 	}
 	if math.Abs(total-want) > 1e-12 {
 		t.Fatalf("total %v want %v", total, want)

@@ -48,7 +48,11 @@ import (
 // error. Incremental add/remove accumulates float rounding relative to a
 // from-scratch pass; the periodic Rebuild at polish anchors resets it.
 type ErrorModel struct {
-	m *core.Model
+	// post supplies the standardisation constants continuous errors are
+	// measured in; log holds the answers whose errors the model fits
+	// (Rebuild, UpdateCells) and the row-error queries read.
+	post *core.Posterior
+	log  *tabular.AnswerLog
 	// nCols/rows mirror the table dimensions.
 	nCols, rows int
 	// isCat[j] marks categorical columns.
@@ -147,12 +151,14 @@ type pairModel struct {
 	pj                         float64
 }
 
-// NewErrorModel returns an empty model bound to m; Rebuild fits it.
+// NewErrorModel returns an empty model bound to m and its source log;
+// Rebuild fits it.
 func NewErrorModel(m *core.Model) *ErrorModel {
 	tbl := m.Table
 	nCols := tbl.NumCols()
 	em := &ErrorModel{
-		m:          m,
+		post:       &m.Posterior,
+		log:        m.Log,
 		nCols:      nCols,
 		rows:       tbl.NumRows(),
 		isCat:      make([]bool, nCols),
@@ -173,6 +179,26 @@ func NewErrorModel(m *core.Model) *ErrorModel {
 		em.isCat[j] = tbl.Schema.Columns[j].Type == tabular.Categorical
 	}
 	return em
+}
+
+// Frozen returns a query-only copy of the fitted model for concurrent
+// scoring: the marginals, pair conditionals, weights W and winsorization
+// bounds are copied, continuous errors are measured against post (a
+// frozen posterior), and the row-error queries read log. The copy holds
+// no accumulators: Rebuild and UpdateCells must not be called on it.
+func (em *ErrorModel) Frozen(post *core.Posterior, log *tabular.AnswerLog) *ErrorModel {
+	return &ErrorModel{
+		post:     post,
+		log:      log,
+		nCols:    em.nCols,
+		margCat:  slices.Clone(em.margCat),
+		margCont: slices.Clone(em.margCont),
+		pairFit:  slices.Clone(em.pairFit),
+		pairOK:   slices.Clone(em.pairOK),
+		w:        slices.Clone(em.w),
+		boundLo:  slices.Clone(em.boundLo),
+		boundHi:  slices.Clone(em.boundHi),
+	}
 }
 
 // BuildErrorModel fits the marginal and pairwise error distributions from
@@ -226,7 +252,7 @@ func (em *ErrorModel) answerError(a tabular.Answer, guess tabular.Value, clamp b
 		}
 		return 1
 	}
-	e := em.m.ToZ(j, a.Value.X) - em.m.ToZ(j, guess.X)
+	e := em.post.ToZ(j, a.Value.X) - em.post.ToZ(j, guess.X)
 	if clamp && em.boundHi[j] > em.boundLo[j] {
 		e = stats.Clamp(e, em.boundLo[j], em.boundHi[j])
 	}
@@ -255,7 +281,7 @@ func (em *ErrorModel) Rebuild(est metrics.Estimates) {
 	}
 
 	// Pass 1: raw (unclamped) last-answer-wins errors into the vectors.
-	for _, a := range em.m.Log.All() {
+	for _, a := range em.log.All() {
 		i, j := a.Cell.Row, a.Cell.Col
 		guess := est[i][j]
 		if guess.IsNone() {
@@ -326,7 +352,7 @@ func (em *ErrorModel) Rebuild(est metrics.Estimates) {
 //
 //tcrowd:noalloc
 func (em *ErrorModel) UpdateCells(est metrics.Estimates, cells []int) {
-	log := em.m.Log
+	log := em.log
 	for _, key := range cells {
 		i, j := key/em.nCols, key%em.nCols
 		guess := est[i][j]
@@ -566,7 +592,7 @@ func (pm *pairModel) condContNormal(ek float64) stats.Normal {
 // without an answer by u are absent.
 func (em *ErrorModel) RowErrors(u tabular.WorkerID, row int, est metrics.Estimates) map[int]float64 {
 	out := map[int]float64{}
-	for _, a := range em.m.Log.RowAnswersByWorker(u, row) {
+	for _, a := range em.log.RowAnswersByWorker(u, row) {
 		em.addError(out, a, est)
 	}
 	return out
@@ -578,7 +604,7 @@ func (em *ErrorModel) RowErrors(u tabular.WorkerID, row int, est metrics.Estimat
 // per cell (which would rescan the history every time).
 func (em *ErrorModel) WorkerRowErrors(u tabular.WorkerID, est metrics.Estimates) map[int]map[int]float64 {
 	out := map[int]map[int]float64{}
-	for _, a := range em.m.Log.ByWorker(u) {
+	for _, a := range em.log.ByWorker(u) {
 		row := out[a.Cell.Row]
 		if row == nil {
 			row = map[int]float64{}

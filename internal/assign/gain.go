@@ -16,16 +16,16 @@ import (
 // worker model with effective variance s = alpha_i beta_j phi_u. Delta
 // entropies are comparable across datatypes even though raw Shannon and
 // differential entropies are not (Sec. 5.1).
-func InfoGain(m *core.Model, u tabular.WorkerID, c tabular.Cell) float64 {
+func InfoGain(m *core.Posterior, u tabular.WorkerID, c tabular.Cell) float64 {
 	s := m.CellVarianceFor(u, c)
 	return infoGainWithVariance(m, c, s)
 }
 
 // infoGainWithVariance scores a cell for a hypothetical answer of effective
 // variance s (shared by inherent and structure-aware gain).
-func infoGainWithVariance(m *core.Model, c tabular.Cell, s float64) float64 {
+func infoGainWithVariance(m *core.Posterior, c tabular.Cell, s float64) float64 {
 	if post, ok := m.PosteriorCat(c); ok {
-		q := math.Erf(m.Opts.Eps / math.Sqrt(2*s))
+		q := math.Erf(m.Eps / math.Sqrt(2*s))
 		return catInfoGain(post, q)
 	}
 	_, v0, _ := m.PosteriorCont(c)
@@ -85,7 +85,7 @@ func catInfoGain(post []float64, q float64) float64 {
 // like InfoGain, but the worker's expected error on cell c is conditioned
 // on the errors they already exhibited on other cells of row c.Row (Eq. 7).
 // With no usable row history or correlations it reduces to InfoGain.
-func StructInfoGain(m *core.Model, em *ErrorModel, est metrics.Estimates, u tabular.WorkerID, c tabular.Cell) float64 {
+func StructInfoGain(m *core.Posterior, em *ErrorModel, est metrics.Estimates, u tabular.WorkerID, c tabular.Cell) float64 {
 	if em == nil {
 		return InfoGain(m, u, c)
 	}
@@ -95,7 +95,7 @@ func StructInfoGain(m *core.Model, em *ErrorModel, est metrics.Estimates, u tabu
 
 // structInfoGainWithErrors scores one cell given the worker's already
 // computed errors on the target row (see ErrorModel.WorkerRowErrors).
-func structInfoGainWithErrors(m *core.Model, em *ErrorModel, u tabular.WorkerID, c tabular.Cell, rowErrsIn map[int]float64) float64 {
+func structInfoGainWithErrors(m *core.Posterior, em *ErrorModel, u tabular.WorkerID, c tabular.Cell, rowErrsIn map[int]float64) float64 {
 	rowErrs := rowErrsIn
 	if _, selfObserved := rowErrs[c.Col]; selfObserved {
 		// Never condition on the target itself; copy-on-write since the
@@ -139,7 +139,7 @@ func structInfoGainWithErrors(m *core.Model, em *ErrorModel, u tabular.WorkerID,
 // BatchInfoGain scores a whole batch D as the sum of per-cell gains
 // (Eq. 9 under the independent-cells approximation the greedy top-K of
 // Sec. 5.3 optimises).
-func BatchInfoGain(m *core.Model, u tabular.WorkerID, cells []tabular.Cell) float64 {
+func BatchInfoGain(m *core.Posterior, u tabular.WorkerID, cells []tabular.Cell) float64 {
 	total := 0.0
 	for _, c := range cells {
 		total += InfoGain(m, u, c)

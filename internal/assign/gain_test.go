@@ -137,8 +137,8 @@ func TestContInfoGainProperties(t *testing.T) {
 		}
 	}
 	u := m.WorkerIDs[0]
-	igCont := InfoGain(m, u, contCell)
-	igCat := InfoGain(m, u, catCell)
+	igCont := InfoGain(&m.Posterior, u, contCell)
+	igCat := InfoGain(&m.Posterior, u, catCell)
 	if igCont < 0 || igCat < 0 {
 		t.Fatalf("negative IG: cont=%v cat=%v", igCont, igCat)
 	}
@@ -152,7 +152,7 @@ func TestContInfoGainProperties(t *testing.T) {
 		}
 	}
 	if m.PhiFor(best) < m.PhiFor(good) {
-		if InfoGain(m, best, contCell) <= InfoGain(m, good, contCell) {
+		if InfoGain(&m.Posterior, best, contCell) <= InfoGain(&m.Posterior, good, contCell) {
 			t.Fatal("lower-variance worker must have higher continuous IG")
 		}
 	}
@@ -164,9 +164,9 @@ func TestBatchInfoGainIsSumOfParts(t *testing.T) {
 	cells := []tabular.Cell{{Row: 0, Col: 0}, {Row: 1, Col: 1}, {Row: 2, Col: 2}}
 	want := 0.0
 	for _, c := range cells {
-		want += InfoGain(m, u, c)
+		want += InfoGain(&m.Posterior, u, c)
 	}
-	if got := BatchInfoGain(m, u, cells); math.Abs(got-want) > 1e-12 {
+	if got := BatchInfoGain(&m.Posterior, u, cells); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("batch IG %v want %v", got, want)
 	}
 }
@@ -179,15 +179,15 @@ func TestStructInfoGainFallsBackWithoutHistory(t *testing.T) {
 	// must equal inherent on every cell.
 	u := tabular.WorkerID("fresh-worker")
 	for _, c := range []tabular.Cell{{Row: 0, Col: 0}, {Row: 3, Col: 4}} {
-		a := InfoGain(m, u, c)
-		b := StructInfoGain(m, em, est, u, c)
+		a := InfoGain(&m.Posterior, u, c)
+		b := StructInfoGain(&m.Posterior, em, est, u, c)
 		if math.Abs(a-b) > 1e-12 {
 			t.Fatalf("fallback mismatch at %v: %v vs %v", c, a, b)
 		}
 	}
 	// Nil error model is also a fallback.
-	if math.Abs(StructInfoGain(m, nil, est, m.WorkerIDs[0], tabular.Cell{Row: 0, Col: 0})-
-		InfoGain(m, m.WorkerIDs[0], tabular.Cell{Row: 0, Col: 0})) > 1e-12 {
+	if math.Abs(StructInfoGain(&m.Posterior, nil, est, m.WorkerIDs[0], tabular.Cell{Row: 0, Col: 0})-
+		InfoGain(&m.Posterior, m.WorkerIDs[0], tabular.Cell{Row: 0, Col: 0})) > 1e-12 {
 		t.Fatal("nil error model fallback")
 	}
 }

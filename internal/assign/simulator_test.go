@@ -24,7 +24,7 @@ func TestPoliciesSelectValidCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sys.st
-	st.Err = BuildErrorModel(st.Model)
+	st.Err = BuildErrorModel(sys.Model())
 	u := ds.Workers[0].ID
 	for _, p := range Policies() {
 		cells := p.Select(st, u, 5)

@@ -22,15 +22,10 @@ type TCrowdSystem struct {
 	// Seed drives tie-breaking.
 	Seed int64
 
+	model    *core.Model
 	st       *State
 	tieBreak *rand.Rand
-	// gate, when set, decides whether a worker may receive tasks at all
-	// (see WorkerGate); a rejected worker gets nil from Select.
-	gate func(tabular.WorkerID) bool
 }
-
-// SetWorkerGate implements WorkerGate.
-func (t *TCrowdSystem) SetWorkerGate(allow func(tabular.WorkerID) bool) { t.gate = allow }
 
 // NewTCrowdSystem builds the default T-Crowd system.
 func NewTCrowdSystem(seed int64) *TCrowdSystem {
@@ -99,7 +94,7 @@ func (t *TCrowdSystem) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error
 	}
 	m, err := core.InferWarm(prev, tbl, log, opts)
 	if err == core.ErrNoAnswers {
-		t.st = &State{Log: log, RNG: t.tieBreak}
+		t.model, t.st = nil, nil
 		return nil
 	}
 	if err != nil {
@@ -111,58 +106,29 @@ func (t *TCrowdSystem) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error
 
 // setState rebuilds the assignment state around a freshly (re)fitted model.
 func (t *TCrowdSystem) setState(m *core.Model, log *tabular.AnswerLog) {
-	st := &State{Model: m, Log: log, Est: m.Estimates(), RNG: t.tieBreak}
-	if _, isStruct := t.Policy.(StructureIG); isStruct {
-		st.Err = NewErrorModel(m)
-		st.Err.Rebuild(st.Est)
-	}
-	t.st = st
+	_, structure := t.Policy.(StructureIG)
+	t.model = m
+	t.st = NewState(m, log, structure)
+	t.st.RNG = t.tieBreak
 }
 
 // applyRefresh folds one streaming refresh into the existing assignment
-// state in place — the zero-allocation steady-state path. A deferred-polish
-// refresh changed only the batch's cells, so exactly those estimates are
-// re-extracted and the error model's accumulators adjusted (UpdateCells); a
-// polished refresh moved the global parameters, so the estimate grid is
-// refilled and the error model rebuilt — both into the arenas the state
-// already owns. Falls back to a fresh setState when no compatible state
-// exists (first streaming refresh after a rebuild with a foreign grid, or a
-// policy change mid-stream).
+// state in place (State.Refreshed). Falls back to a fresh setState when no
+// compatible state exists (first streaming refresh after a rebuild, or a
+// policy change mid-stream that adds or drops the error model).
 func (t *TCrowdSystem) applyRefresh(m *core.Model, log *tabular.AnswerLog, rs core.RefreshStats) {
-	st := t.st
-	if st == nil || st.Model != m || st.Est == nil {
+	_, structure := t.Policy.(StructureIG)
+	if t.st == nil || t.model != m || structure != (t.st.Err != nil) {
 		t.setState(m, log)
 		return
 	}
-	st.Log = log
-	if rs.Polished {
-		m.EstimatesInto(st.Est)
-	} else {
-		nCols := m.Table.NumCols()
-		for _, key := range rs.Cells {
-			st.Est[key/nCols][key%nCols] = m.EstimateCell(key/nCols, key%nCols)
-		}
-	}
-	if _, isStruct := t.Policy.(StructureIG); !isStruct {
-		return
-	}
-	switch {
-	case st.Err == nil:
-		st.Err = NewErrorModel(m)
-		st.Err.Rebuild(st.Est)
-	case rs.Polished:
-		st.Err.Rebuild(st.Est)
-	default:
-		st.Err.UpdateCells(st.Est, rs.Cells)
-	}
+	t.st.Log = log
+	t.st.Refreshed(rs)
 }
 
 // Select implements System.
 func (t *TCrowdSystem) Select(u tabular.WorkerID, k int, log *tabular.AnswerLog) []tabular.Cell {
-	if t.gate != nil && !t.gate(u) {
-		return nil
-	}
-	if t.st == nil || t.st.Model == nil {
+	if t.st == nil {
 		return nil
 	}
 	t.st.Log = log
@@ -171,20 +137,15 @@ func (t *TCrowdSystem) Select(u tabular.WorkerID, k int, log *tabular.AnswerLog)
 
 // Estimates implements System.
 func (t *TCrowdSystem) Estimates() metrics.Estimates {
-	if t.st == nil || t.st.Model == nil {
+	if t.model == nil {
 		return nil
 	}
-	return t.st.Model.Estimates()
+	return t.model.Estimates()
 }
 
 // Model exposes the fitted inference model of the last Refresh (nil before
 // the first informative refresh). The public API layers on top of it.
-func (t *TCrowdSystem) Model() *core.Model {
-	if t.st == nil {
-		return nil
-	}
-	return t.st.Model
-}
+func (t *TCrowdSystem) Model() *core.Model { return t.model }
 
 // voteState is the shared bookkeeping of the MV/median-based systems (CDAS
 // and AskIt!): per-cell vote shares, sample statistics and estimates.

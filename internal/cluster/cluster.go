@@ -129,6 +129,15 @@ type Node struct {
 	// pulling dedups concurrent catch-up pulls per project.
 	//tcrowd:guardedby mu
 	pulling map[string]bool
+	// stalePull marks an in-flight pull whose project was removed while
+	// it ran: its response predates the delete and must not resurrect
+	// the replica. Cleared when that pull finishes.
+	//tcrowd:guardedby mu
+	stalePull map[string]bool
+
+	// replicaMu serialises installing a pulled WAL tail against removing
+	// the replica, so a removal is never undone by a pull racing it.
+	replicaMu sync.Mutex
 }
 
 // New builds the node, installs the platform publish hook, and starts the
@@ -141,15 +150,16 @@ func New(opts Options) (*Node, error) {
 		return nil, errors.New("cluster: Options.Platform and Options.Local are required")
 	}
 	n := &Node{
-		set:     opts.Members,
-		p:       opts.Platform,
-		local:   opts.Local,
-		mode:    opts.Mode,
-		client:  opts.Client,
-		mux:     http.NewServeMux(),
-		stop:    make(chan struct{}),
-		walTop:  make(map[string]int),
-		pulling: make(map[string]bool),
+		set:       opts.Members,
+		p:         opts.Platform,
+		local:     opts.Local,
+		mode:      opts.Mode,
+		client:    opts.Client,
+		mux:       http.NewServeMux(),
+		stop:      make(chan struct{}),
+		walTop:    make(map[string]int),
+		pulling:   make(map[string]bool),
+		stalePull: make(map[string]bool),
 	}
 	if n.client == nil {
 		n.client = &http.Client{}

@@ -154,7 +154,16 @@ func (n *Node) adoptWAL(w http.ResponseWriter, r *http.Request) {
 // the home deleted the project. Idempotent — an already-absent project is
 // success.
 func (n *Node) removeReplica(w http.ResponseWriter, r *http.Request) {
-	err := n.p.RemoveReplica(r.PathValue("id"))
+	id := r.PathValue("id")
+	n.replicaMu.Lock()
+	n.mu.Lock()
+	if n.pulling[id] {
+		n.stalePull[id] = true
+	}
+	delete(n.walTop, id)
+	n.mu.Unlock()
+	err := n.p.RemoveReplica(id)
+	n.replicaMu.Unlock()
 	if err != nil && !errors.Is(err, platform.ErrNoProject) {
 		platform.WriteError(w, err)
 		return

@@ -206,6 +206,7 @@ func (n *Node) schedulePull(projectID, home string) {
 		n.pullWAL(projectID, home)
 		n.mu.Lock()
 		n.pulling[projectID] = false
+		delete(n.stalePull, projectID)
 		n.mu.Unlock()
 	}()
 }
@@ -236,6 +237,15 @@ func (n *Node) pullWAL(projectID, home string) {
 	}
 	var env walShipEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		return
+	}
+	n.replicaMu.Lock()
+	defer n.replicaMu.Unlock()
+	n.mu.Lock()
+	stale := n.stalePull[projectID]
+	n.mu.Unlock()
+	if stale {
+		// The home deleted the project while this pull was in flight.
 		return
 	}
 	top, err := n.p.ReplicateWAL(projectID, env.Segments, home)

@@ -255,34 +255,12 @@ func (o Options) withDefaults() Options {
 
 // Model is the fitted state of T-Crowd truth inference: per-cell posterior
 // truth distributions plus the learned difficulties and worker variances.
-// It also serves the task-assignment layer, which needs posteriors,
-// per-cell worker qualities and cheap single-cell updates.
+// Its read side — everything task assignment scores against — is the
+// embedded Posterior; the rest is the EM engine's own state.
 type Model struct {
-	Table *tabular.Table
-	Log   *tabular.AnswerLog
-	Opts  Options
-
-	// Alpha[i], Beta[j] are row/column difficulties; Phi[k] is the
-	// variance of the k-th worker in WorkerIDs order.
-	Alpha, Beta []float64
-	Phi         []float64
-	WorkerIDs   []tabular.WorkerID
-	workerIdx   map[tabular.WorkerID]int
-
-	// ColMean/ColStd are the per-column standardisation constants
-	// (answer mean and std; std==1, mean==0 for categorical columns).
-	ColMean, ColStd []float64
-
-	// CatPost[i][j] is the posterior label distribution of a categorical
-	// cell (nil when not applicable or unanswered). The distributions of
-	// all cells share one backing arena and are updated in place by the
-	// E-step.
-	CatPost [][][]float64
-	// ContMu/ContVar hold the standardized posterior N(mu, var) of
-	// continuous cells (valid where Answered).
-	ContMu, ContVar [][]float64
-	// Answered marks cells with at least one usable answer.
-	Answered [][]bool
+	Posterior
+	Log  *tabular.AnswerLog
+	Opts Options
 
 	// ObjTrace is the ELBO per EM iteration when TrackObjective is set.
 	ObjTrace []float64
@@ -311,8 +289,6 @@ type Model struct {
 	// order; nil means every worker has weight 1 (the common case keeps
 	// the hot loops' memoised fast paths untouched). See SetWorkerWeights.
 	wgt []float64
-	// medianPhi caches MedianPhi across hot assignment loops.
-	medianPhi float64
 	// pendingPolish counts answers ingested since the last full EM polish;
 	// RefreshIncremental defers the polish until it crosses polishBacklog.
 	pendingPolish int
@@ -433,32 +409,21 @@ func newModel(tbl *tabular.Table, log *tabular.AnswerLog, opts Options) (*Model,
 	n, mm := tbl.NumRows(), tbl.NumCols()
 
 	m := &Model{
-		Table:     tbl,
-		Log:       log,
-		Opts:      o,
-		Alpha:     ones(n),
-		Beta:      ones(mm),
-		ColMean:   make([]float64, mm),
-		ColStd:    make([]float64, mm),
-		CatPost:   make([][][]float64, n),
-		ContMu:    make([][]float64, n),
-		ContVar:   make([][]float64, n),
-		Answered:  make([][]bool, n),
-		lnL1:      make([]float64, mm),
-		workerIdx: make(map[tabular.WorkerID]int),
+		Posterior: Posterior{
+			Table:     tbl,
+			Eps:       o.Eps,
+			initPhi:   o.InitPhi,
+			Alpha:     ones(n),
+			Beta:      ones(mm),
+			ColMean:   make([]float64, mm),
+			ColStd:    make([]float64, mm),
+			workerIdx: make(map[tabular.WorkerID]int),
+		},
+		Log:  log,
+		Opts: o,
+		lnL1: make([]float64, mm),
 	}
-	// Row views share flat backing arrays: one allocation per field
-	// instead of one per row.
-	postRows := make([][]float64, n*mm)
-	muFlat := make([]float64, n*mm)
-	varFlat := make([]float64, n*mm)
-	ansFlat := make([]bool, n*mm)
-	for i := 0; i < n; i++ {
-		m.CatPost[i] = postRows[i*mm : (i+1)*mm : (i+1)*mm]
-		m.ContMu[i] = muFlat[i*mm : (i+1)*mm : (i+1)*mm]
-		m.ContVar[i] = varFlat[i*mm : (i+1)*mm : (i+1)*mm]
-		m.Answered[i] = ansFlat[i*mm : (i+1)*mm : (i+1)*mm]
-	}
+	m.allocCells(n, mm)
 	for j := 0; j < mm; j++ {
 		if col := tbl.Schema.Columns[j]; col.Type == tabular.Categorical {
 			m.lnL1[j] = math.Log(float64(col.NumLabels() - 1))

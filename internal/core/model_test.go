@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tcrowd/internal/stats"
@@ -207,4 +208,64 @@ func TestQualityMonotoneInVariance(t *testing.T) {
 		prev = q
 	}
 	_ = stats.Eps
+}
+
+// TestPosteriorCloneIsDetached pins Clone's contract: the copy equals the
+// model's posterior when taken and shares no mutable state with it, so a
+// streaming refresh that adds workers, answers and newly answered cells
+// leaves it untouched.
+func TestPosteriorCloneIsDetached(t *testing.T) {
+	m, _ := tinyFixture(t)
+	c := m.Posterior.Clone()
+	if !reflect.DeepEqual(*c, m.Posterior) {
+		t.Fatal("clone differs from the model's posterior")
+	}
+	frozen := c.Clone()
+
+	m.Log.Add(tabular.Answer{Worker: "u4", Cell: tabular.Cell{Row: 2, Col: 0}, Value: tabular.LabelValue(2)})
+	m.Log.Add(tabular.Answer{Worker: "u4", Cell: tabular.Cell{Row: 1, Col: 0}, Value: tabular.LabelValue(2)})
+	m.Log.Add(tabular.Answer{Worker: "u4", Cell: tabular.Cell{Row: 2, Col: 1}, Value: tabular.NumberValue(90)})
+	if _, err := m.IngestFrom(m.Log); err != nil {
+		t.Fatal(err)
+	}
+	m.RefreshIncremental(50)
+	if reflect.DeepEqual(*c, m.Posterior) {
+		t.Fatal("refresh did not move the model (fixture too weak)")
+	}
+	if !reflect.DeepEqual(c, frozen) {
+		t.Fatal("refreshing the model mutated its clone")
+	}
+	if got := c.PhiFor("u4"); got != c.MedianPhi() {
+		t.Fatalf("clone knows a worker added after it was taken: phi %v", got)
+	}
+}
+
+// TestPosteriorObserveIsTheSingleCellUpdate pins Observe to the Sec. 5.1
+// single-answer update with the fitted parameters held fixed: precisions
+// add on a continuous cell, CatPosteriorWithAnswer on a categorical one,
+// and a first answer starts from the prior.
+func TestPosteriorObserveIsTheSingleCellUpdate(t *testing.T) {
+	m, _ := tinyFixture(t)
+	p := m.Posterior.Clone()
+
+	cont := tabular.Cell{Row: 0, Col: 1}
+	mu, v, _ := p.PosteriorCont(cont)
+	s := p.CellVarianceFor("u3", cont)
+	p.Observe(tabular.Answer{Worker: "u3", Cell: cont, Value: tabular.NumberValue(52)})
+	wantV := 1 / (1/v + 1/s)
+	wantMu := wantV * (mu/v + p.ToZ(1, 52)/s)
+	if gotMu, gotV, _ := p.PosteriorCont(cont); math.Abs(gotV-wantV) > 1e-15 || math.Abs(gotMu-wantMu) > 1e-12 {
+		t.Fatalf("continuous update: got N(%v, %v), want N(%v, %v)", gotMu, gotV, wantMu, wantV)
+	}
+
+	fresh := tabular.Cell{Row: 2, Col: 0} // unanswered: uniform prior
+	prior, _ := p.PosteriorCat(fresh)
+	want := CatPosteriorWithAnswer(prior, 2, p.Eps, p.CellVarianceFor("u1", fresh))
+	p.Observe(tabular.Answer{Worker: "u1", Cell: fresh, Value: tabular.LabelValue(2)})
+	if got, _ := p.PosteriorCat(fresh); !reflect.DeepEqual(got, want) || !p.Answered[2][0] {
+		t.Fatalf("categorical first answer: got %v, want %v", got, want)
+	}
+	if m.Answered[2][0] {
+		t.Fatal("observing on a clone touched the model")
+	}
 }

@@ -413,7 +413,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 
 // TestEstimatesIntoSteadyStateAllocs pins the zero-alloc estimate fill:
 // once a flat-backed Estimates exists, refreshing it in place allocates
-// nothing — the assignment engine's applyRefresh depends on this to keep
+// nothing — assign.State.Refreshed depends on this to keep
 // the streaming tier allocation-free.
 func TestEstimatesIntoSteadyStateAllocs(t *testing.T) {
 	ds, log := equivDataset(3600, 25)

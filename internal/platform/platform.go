@@ -30,15 +30,15 @@
 // routes through the same per-shard queue and waits, returning estimates
 // that reflect every answer recorded before the call.
 //
-// # Lock order
+// # One model per project
 //
-// When both are needed, a project's assignMu is acquired before the
-// platform mutex (refreshAssign and RequestTasks hold assignMu while
-// growShadow/Select briefly take p.mu to copy the delta); the reverse
-// order would deadlock against them. The directive below makes
-// tcrowd-lint enforce it.
-//
-//tcrowd:lockorder Project.assignMu < Platform.mu
+// A project fits exactly one EM model (lastModel), on its home shard.
+// T-Crowd task assignment scores that same model: each refresh keeps the
+// assignment state (estimate grid and attribute-correlation error model)
+// current next to it, and every publish swaps in a detached copy beside
+// the snapshot (tasksView). RequestTasks scores that copy, caught up with
+// the answers recorded since its generation, so it never enqueues shard
+// work and never waits on a refresh.
 package platform
 
 import (
@@ -51,7 +51,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tcrowd/api"
 	"tcrowd/internal/assign"
@@ -93,11 +92,12 @@ type Project struct {
 	Table *tabular.Table
 	Log   *tabular.AnswerLog
 
-	// sys is the assignment engine; nil means fewest-answers-first with
-	// random tie-breaking (the CrowdDB/Deco-style default).
-	sys assign.System
+	// tcrowd selects structure-aware T-Crowd assignment; false means
+	// fewest-answers-first with random tie-breaking (the CrowdDB/Deco-style
+	// default). Immutable after creation.
+	tcrowd bool
 	// refreshEvery controls how many submissions may elapse between
-	// inference refreshes of sys.
+	// inference refreshes.
 	refreshEvery int
 	// sinceRefresh counts submissions since the last enqueued refresh.
 	//tcrowd:guardedby Platform.mu
@@ -125,26 +125,15 @@ type Project struct {
 	// creation and immutable afterwards, so the HTTP layer resolves
 	// labels in O(1) without the platform lock.
 	labelIdx []map[string]int
-	// assignMu serialises the assignment engine: its refresh runs on the
-	// project's shard worker (off the request goroutine and off the
-	// platform lock), while Select runs on request goroutines.
-	assignMu sync.Mutex
-	// shadow is the serving-side answer log shared by the inference model
-	// and the assignment engine: refresh jobs grow it in place from the
-	// main log's delta, preserving the pointer identity both engines'
-	// streaming-ingest tiers key on (each keeps its own consumed cursor
-	// into it). Growth happens only on the project's home shard worker
-	// (which serialises the two refresh kinds) and under assignMu
-	// (concurrent RequestTasks iterate the log while holding it).
-	//tcrowd:guardedby assignMu
+	// shadow is the model's source log: refreshes grow it in place from
+	// the main log's delta, preserving the pointer identity the model's
+	// streaming-ingest tier keys on, so EM never reads the main log that
+	// submissions append to under p.mu.
+	//tcrowd:guardedby inferMu
 	shadow *tabular.AnswerLog
 	// shadowAt is the main-log length absorbed into shadow.
-	//tcrowd:guardedby assignMu
+	//tcrowd:guardedby inferMu
 	shadowAt int
-	// assignAt is the main-log length the assignment engine has refreshed
-	// against (<= shadowAt when an inference refresh grew the shadow
-	// more recently). Guarded by assignMu.
-	assignAt int
 	// inferMu serialises truth inference per project: the cached model is
 	// refreshed incrementally in place, so exactly one RunInference may
 	// touch it at a time (the platform lock stays free meanwhile, so
@@ -158,6 +147,17 @@ type Project struct {
 	lastModel *core.Model
 	//tcrowd:guardedby inferMu
 	logAtModel int
+	// assignSt is the live T-Crowd assignment state over lastModel (nil
+	// without T-Crowd assignment or before the first fit), kept current
+	// by every refresh.
+	//tcrowd:guardedby inferMu
+	assignSt *assign.State
+	// tasksView is the detached copy of assignSt taken at the latest
+	// publish. Only RequestTasks touches it after the swap, under p.mu:
+	// it catches the copy up with proj.Log and scores it. Like the
+	// snapshot it is swapped atomically; unlike it, it is neither retained
+	// nor replicated.
+	tasksView atomic.Pointer[assign.State]
 	// snapshot is the copy-on-publish estimate snapshot: every completed
 	// refresh builds a fresh immutable InferenceResult and swaps the
 	// pointer, so readers (Snapshot, the merged /estimates endpoint)
@@ -325,13 +325,13 @@ type ProjectConfig struct {
 	Rows int
 	// Entities optionally names the rows (len must equal Rows if set).
 	Entities []string
-	// UseTCrowdAssignment enables the structure-aware T-Crowd assignment
-	// engine; otherwise tasks are served fewest-answers-first.
+	// UseTCrowdAssignment enables structure-aware T-Crowd assignment,
+	// scored on the project's published model; otherwise tasks are served
+	// fewest-answers-first.
 	UseTCrowdAssignment bool
-	// RefreshEvery bounds submissions between inference refreshes: both
-	// the assignment engine's refresh (on the next task request) and the
-	// asynchronous estimate-snapshot refresh Submit enqueues (default 25;
-	// use 1 for a refresh per answer).
+	// RefreshEvery bounds submissions between the asynchronous inference
+	// refreshes Submit enqueues (default 25; use 1 for a refresh per
+	// answer). Each refresh also republishes the assignment view.
 	RefreshEvery int
 	// FsyncPolicy overrides the platform-wide WAL fsync policy for this
 	// project: "always", "interval" or "never" (empty = platform
@@ -400,7 +400,8 @@ func (p *Platform) attachProjectWAL(proj *Project) error {
 // logs a create record, recovery re-attaches the replayed log).
 func (p *Platform) createProjectLocked(id string, schema tabular.Schema, cfg ProjectConfig) (*Project, error) {
 	// Project IDs feed the shard scheduler's coalescing keys, which
-	// namespace job kinds with a control-character suffix — a crafted ID
+	// namespace job kinds with a control-character suffix (compaction
+	// jobs use id+"\x00compact") — a crafted ID
 	// containing control characters could collide with another project's
 	// job key (and would be miserable in URLs and logs anyway).
 	for _, r := range id {
@@ -437,6 +438,7 @@ func (p *Platform) createProjectLocked(id string, schema tabular.Schema, cfg Pro
 		Table:        tbl,
 		Log:          tabular.NewAnswerLog(),
 		refreshEvery: cfg.RefreshEvery,
+		tcrowd:       cfg.UseTCrowdAssignment,
 		fsyncPolicy:  cfg.FsyncPolicy,
 		polishFrac:   cfg.PolishFrac,
 		rng:          stats.NewRNG(p.seed + int64(len(p.projects))),
@@ -452,15 +454,6 @@ func (p *Platform) createProjectLocked(id string, schema tabular.Schema, cfg Pro
 	}
 	if cfg.Reputation {
 		proj.rep = reputation.NewEngine(reputation.Config{})
-	}
-	if cfg.UseTCrowdAssignment {
-		sys := assign.NewTCrowdSystem(p.seed)
-		if proj.rep != nil {
-			// Quarantined and banned workers never receive tasks from the
-			// structure-aware selector (the fallback path checks too).
-			sys.SetWorkerGate(proj.rep.Assignable)
-		}
-		proj.sys = sys
 	}
 	p.projects[id] = proj
 	return proj, nil
@@ -528,108 +521,43 @@ type Task struct {
 	Labels []string `json:"labels,omitempty"`
 }
 
-// assignJobSuffix distinguishes assignment-refresh jobs from estimate-
-// refresh jobs in the shard scheduler's coalescing map. The route key
-// stays the bare project ID, so both kinds run on the project's home
-// shard; the job key differs, so they never coalesce into each other.
-const assignJobSuffix = "\x00assign"
-
-// assignRefreshWait bounds how long a task request waits for its
-// assignment refresh to complete on the shard worker. An idle shard
-// finishes well within it (strong freshness is the common case); on a
-// busy shard — queued work from co-sharded projects, a long cold fit —
-// the request stops waiting and serves from the engine's previous state
-// while the refresh completes in the background. Without the bound a
-// request could stall behind minutes of queued refreshes that
-// backpressure (which only trips on a FULL queue) never sheds.
-const assignRefreshWait = 2 * time.Second
-
 // RequestTasks assigns up to k cells to worker u (the external-HIT hook):
-// via the project's T-Crowd engine when enabled, otherwise
+// via structure-aware T-Crowd assignment when enabled, otherwise
 // fewest-answers-first with random tie-breaking.
 //
-// When the project's assignment engine is due a refresh (its RefreshEvery
-// cadence, or the very first request), the refresh runs on the project's
-// shard worker — never on the request goroutine under the platform lock —
-// with the same coalescing semantics as estimate refreshes, so a slow
-// assign refresh cannot stall concurrent submissions or other projects'
-// task requests. The request waits for its refresh at most
-// assignRefreshWait; past that — and under shard backpressure (saturated
-// queue, shutdown), where the refresh is shed outright — tasks are served
-// from the engine's previous state: assignment quality degrades
-// gracefully instead of the request hanging or failing.
+// T-Crowd assignment scores the view of the latest published generation
+// (see Project.tasksView), first folding in the answers recorded since
+// that generation, so a task request never enqueues shard work, never
+// waits on a refresh and reads the same reputation-weighted model the
+// estimates come from. Before the
+// first publish — or when the view has nothing to offer — tasks fall back
+// to fewest-answers-first. Quarantined workers get no tasks from either
+// path; banned workers get ErrWorkerBanned.
 func (p *Platform) RequestTasks(projectID string, u tabular.WorkerID, k int) ([]Task, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	proj, ok := p.projects[projectID]
 	if !ok {
-		p.mu.Unlock()
 		return nil, ErrNoProject
 	}
 	if proj.follower {
-		home := proj.homeAddr
-		p.mu.Unlock()
-		return nil, &NotHomeError{Project: projectID, Home: home}
+		return nil, &NotHomeError{Project: projectID, Home: proj.homeAddr}
 	}
 	if proj.rep != nil && !proj.rep.Assignable(u) {
-		p.mu.Unlock()
 		if proj.rep.State(u) == reputation.Banned {
 			return nil, fmt.Errorf("%w: %s", ErrWorkerBanned, u)
 		}
-		// Quarantined: no tasks (from any selector, fallback included),
-		// but not an error — the worker may still redeem themselves on
-		// answers already held.
+		// Quarantined: no tasks, but not an error — the worker may still
+		// redeem themselves on answers already held.
 		return []Task{}, nil
 	}
-	needRefresh := proj.sys != nil && proj.sinceRefresh == 0 // covers the very first request
-	logLen := proj.Log.Len()
-	p.mu.Unlock()
-
-	// Skip the shard round trip when the engine has already absorbed the
-	// whole log: idle projects polled for tasks would otherwise enqueue a
-	// no-op refresh per poll (and wait behind whatever the shard queue
-	// holds), consuming queue depth for nothing.
-	if needRefresh && proj.assignUpToDate(logLen) {
-		needRefresh = false
-	}
-	if needRefresh {
-		done, err := p.sched.SubmitNotifyKeyed(projectID, projectID+assignJobSuffix,
-			func() error { return p.refreshAssign(proj) })
-		switch {
-		case errors.Is(err, shard.ErrShardSaturated), errors.Is(err, shard.ErrClosed):
-			// Refresh shed: serve from the previous assignment state.
-		case err != nil:
-			return nil, err
-		default:
-			t := time.NewTimer(assignRefreshWait)
-			select {
-			case err := <-done:
-				t.Stop()
-				if err != nil {
-					return nil, err
-				}
-			case <-t.C:
-				// Refresh still queued or running: serve stale; the job
-				// completes in the background and freshens later requests.
-			}
-		}
-	}
-
-	// Lock order: assignMu before mu, matching refreshAssign. TryLock
-	// keeps the request bounded: when this project's own refresh is still
-	// mid-flight (it holds assignMu while EM runs), don't block behind it
-	// — degrade to fewest-answers-first for this request.
-	useSys := proj.sys != nil && proj.assignMu.TryLock()
-	if useSys {
-		defer proj.assignMu.Unlock()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if k <= 0 {
 		k = proj.Table.NumCols()
 	}
 	var cells []tabular.Cell
-	if useSys {
-		cells = proj.sys.Select(u, k, proj.Log)
+	if view := proj.tasksView.Load(); view != nil {
+		view.CatchUp()
+		cells = assign.StructureIG{}.Select(view, u, k)
 	}
 	if len(cells) == 0 {
 		cells = proj.fewestAnswersFirst(u, k)
@@ -1150,26 +1078,11 @@ func (p *Platform) Watch(projectID string) (*Watcher, error) {
 	return proj.hub.subscribe(), nil
 }
 
-// assignUpToDate reports whether the assignment engine has refreshed at
-// least once and absorbed the first logLen answers. TryLock: when a
-// refresh is mid-flight the state is in motion — report stale and let the
-// caller's enqueue coalesce into the queued work.
-func (proj *Project) assignUpToDate(logLen int) bool {
-	if !proj.assignMu.TryLock() {
-		return false
-	}
-	defer proj.assignMu.Unlock()
-	return proj.shadow != nil && proj.assignAt == logLen
-}
-
 // growShadow appends the main log's unabsorbed delta to the project's
-// shared shadow log and returns the table. Callers must hold the
-// project's assignMu (the machine-readable contract below — the prose
-// alone was ambiguous, since assignMu lives on proj, not the receiver)
-// and run on the project's home shard worker; the platform lock is taken
-// only to copy the delta.
+// shadow log and returns the table. It runs on the project's home shard
+// worker under inferMu; the platform lock is taken only to copy the delta.
 //
-//tcrowd:locked Project.assignMu
+//tcrowd:locked Project.inferMu
 func (p *Platform) growShadow(proj *Project) *tabular.Table {
 	p.mu.Lock()
 	tbl := proj.Table
@@ -1186,23 +1099,6 @@ func (p *Platform) growShadow(proj *Project) *tabular.Table {
 	proj.shadow.AddAll(batch)
 	proj.shadowAt = total
 	return tbl
-}
-
-// refreshAssign brings the project's assignment engine up to date with the
-// answer log. It runs on the project's shard worker (submitted by
-// RequestTasks under the assign job key) — never on a request goroutine,
-// and never under the platform lock, which it takes only to copy the
-// submission delta. The engine refreshes against the project's shared
-// shadow log grown in place from that delta, so the streaming-ingest tier
-// (which keys on source-log pointer identity) stays hot: refresh cost is
-// O(batch since last refresh), not O(log).
-func (p *Platform) refreshAssign(proj *Project) error {
-	proj.assignMu.Lock()
-	defer proj.assignMu.Unlock()
-
-	tbl := p.growShadow(proj)
-	proj.assignAt = proj.shadowAt
-	return proj.sys.Refresh(tbl, proj.shadow)
 }
 
 // refreshProject brings the project's cached model up to date with its
@@ -1222,20 +1118,13 @@ func (p *Platform) refreshProject(proj *Project) error {
 	proj.inferMu.Lock()
 	defer proj.inferMu.Unlock()
 
-	// Grow the shared shadow log (under assignMu: concurrent RequestTasks
-	// iterate it). The reads below run lock-free: both refresh kinds are
-	// serialised on the project's home shard worker, so nothing else grows
-	// the shadow while this job runs, and project logs are append-only
-	// with reloads building fresh projects — the cached fit is always for
-	// a prefix of the shadow.
-	proj.assignMu.Lock()
+	// Project logs are append-only with reloads building fresh projects,
+	// so the cached fit is always for a prefix of the shadow.
 	tbl := p.growShadow(proj)
-	proj.assignMu.Unlock()
-	//lint:allow lockcheck lock-free read per the comment above: refreshes are serialised on the project's home shard worker, so nothing grows the shadow concurrently
 	shadow, total := proj.shadow, proj.shadowAt
 
 	p.mu.Lock()
-	m := proj.lastModel
+	m, log := proj.lastModel, proj.Log
 	p.mu.Unlock()
 
 	switch {
@@ -1257,6 +1146,9 @@ func (p *Platform) refreshProject(proj *Project) error {
 		p.mu.Lock()
 		proj.lastModel, proj.logAtModel = m, total
 		p.mu.Unlock()
+		if proj.tcrowd {
+			proj.assignSt = assign.NewState(m, shadow, true)
+		}
 	case total > proj.logAtModel:
 		// Streaming refresh: absorb the shadow's new suffix in place. A
 		// polished refresh keeps the full iteration budget — seeding at
@@ -1277,7 +1169,10 @@ func (p *Platform) refreshProject(proj *Project) error {
 				// scaled down (or out) of the sufficient statistics.
 				m.SetWorkerWeights(proj.rep.Weights())
 			}
-			m.RefreshIncremental(proj.nextPolishBudget())
+			rs := m.RefreshIncremental(proj.nextPolishBudget())
+			if proj.assignSt != nil {
+				proj.assignSt.Refreshed(rs)
+			}
 		}
 		p.mu.Lock()
 		proj.logAtModel = total
@@ -1308,6 +1203,11 @@ func (p *Platform) refreshProject(proj *Project) error {
 		for _, u := range m.WorkerIDs {
 			proj.rep.ObserveModelQuality(u, m.WorkerQuality(u))
 		}
+	}
+	if proj.assignSt != nil {
+		// The view goes live before the snapshot that announces it. Its
+		// policies read the live log, under p.mu, in RequestTasks.
+		proj.tasksView.Store(proj.assignSt.Frozen(res.Estimates, log, total))
 	}
 	p.publishSnapshot(proj, res)
 	return nil
@@ -1550,7 +1450,7 @@ func (p *Platform) Save(w io.Writer) error {
 			Schema:       proj.Table.Schema,
 			Entities:     proj.Table.Entities,
 			Answers:      json.RawMessage(buf.Bytes()),
-			TCrowd:       proj.sys != nil,
+			TCrowd:       proj.tcrowd,
 			RefreshEvery: proj.refreshEvery,
 			FsyncPolicy:  proj.fsyncPolicy,
 			PolishFrac:   proj.polishFrac,

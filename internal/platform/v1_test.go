@@ -364,12 +364,12 @@ func TestV1EstimatesPagination(t *testing.T) {
 	}
 }
 
-// TestTasksNotBlockedByWedgedShard is the acceptance-criterion assignment
-// test: with one T-Crowd project's shard fully wedged, GET /tasks for a
-// project on another shard answers promptly, and the wedged project
-// itself degrades to serving tasks from its stale assignment state
-// instead of hanging or failing (before this PR the refresh ran under the
-// platform lock on the request goroutine, stalling every project).
+// TestTasksNotBlockedByWedgedShard is the assignment isolation test: with
+// one T-Crowd project's shard fully wedged, GET /tasks answers promptly
+// for a project on another shard, for the wedged project itself, and for
+// a co-sharded project whose log moved past its last published generation
+// (its refresh is shed): task requests score the latest published view
+// and never wait on the shard.
 func TestTasksNotBlockedByWedgedShard(t *testing.T) {
 	p := NewWithOptions(65, Options{Workers: 4, QueueDepth: 1})
 	defer p.Close()
@@ -388,7 +388,26 @@ func TestTasksNotBlockedByWedgedShard(t *testing.T) {
 	if coldID == "" {
 		t.Fatal("no cold project id found")
 	}
-	for _, id := range []string{hotID, coldID} {
+	busyID := ""
+	for i := 0; i < 10000; i++ {
+		id := fmt.Sprintf("busy-project-%d", i)
+		if p.sched.ShardFor(id) == p.sched.ShardFor(hotID) {
+			busyID = id
+			break
+		}
+	}
+	if busyID == "" {
+		t.Fatal("no project id co-sharded with the hot one found")
+	}
+	idle := func() bool {
+		for _, m := range p.ShardMetrics() {
+			if m.Depth != 0 || m.Completed != m.Enqueued {
+				return false
+			}
+		}
+		return true
+	}
+	for _, id := range []string{hotID, coldID, busyID} {
 		if _, err := p.CreateProject(id, demoSchema(), ProjectConfig{Rows: 3, UseTCrowdAssignment: true, RefreshEvery: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -397,23 +416,21 @@ func TestTasksNotBlockedByWedgedShard(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Prime the assignment engine so the wedged project has stale
-		// state to degrade to.
-		if _, err := p.RequestTasks(id, "seed-worker", 1); err != nil {
-			t.Fatal(err)
-		}
+		// Co-sharded projects share a depth-1 queue: let each settle.
+		waitFor(t, idle)
 	}
-	waitFor(t, func() bool {
-		for _, m := range p.ShardMetrics() {
-			if m.Depth != 0 || m.Completed != m.Enqueued {
-				return false
-			}
-		}
-		return true
-	})
 
 	release := wedge(t, p, hotID, 1)
 	defer release()
+	// The busy project's log moves past its published view; the refresh
+	// it is due is shed by the wedged queue.
+	res, err := p.SubmitBatch(busyID, []tabular.Answer{{Worker: "w4", Cell: tabular.Cell{Row: 1, Col: 1}, Value: tabular.NumberValue(8)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Refresh != RefreshDeferred {
+		t.Fatalf("busy project's refresh %q, want deferred by the wedged shard", res.Refresh)
+	}
 
 	fetch := func(id string) chan error {
 		done := make(chan error, 1)
@@ -438,10 +455,8 @@ func TestTasksNotBlockedByWedgedShard(t *testing.T) {
 		return done
 	}
 
-	// Both the cold project AND the wedged project answer promptly: the
-	// cold one refreshes on its own shard, the hot one sheds the refresh
-	// and serves from stale assignment state.
-	for _, id := range []string{coldID, hotID} {
+	// Every project answers promptly from its latest published view.
+	for _, id := range []string{coldID, hotID, busyID} {
 		select {
 		case err := <-fetch(id):
 			if err != nil {
@@ -453,26 +468,93 @@ func TestTasksNotBlockedByWedgedShard(t *testing.T) {
 	}
 }
 
-// TestAssignRefreshRunsOnShardWorker pins the routing: a T-Crowd task
-// request that crosses the refresh cadence enqueues exactly one assign
-// job on the project's home shard (observable in the shard metrics).
-func TestAssignRefreshRunsOnShardWorker(t *testing.T) {
+// TestRequestTasksEnqueuesNoShardJob pins the one-model design: T-Crowd
+// task requests score the published view and put no work on the shard
+// scheduler, however many are served.
+func TestRequestTasksEnqueuesNoShardJob(t *testing.T) {
 	p := New(66)
 	defer p.Close()
 	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 3, UseTCrowdAssignment: true, RefreshEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
-	sh := p.sched.ShardFor("a")
-	before := p.ShardMetrics()[sh]
-	if _, err := p.RequestTasks("a", "w1", 2); err != nil {
+	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
+		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proj, _ := p.Project("a")
+	waitFor(t, func() bool {
+		snap, err := p.Snapshot("a")
+		return err == nil && snap.AnswersSeen == 3 && proj.tasksView.Load() != nil
+	})
+	submitted := func() (n uint64) {
+		for _, m := range p.ShardMetrics() {
+			n += m.Enqueued + m.Coalesced + m.Rejected
+		}
+		return n
+	}
+	before := submitted()
+	for i := 0; i < 20; i++ {
+		tasks, err := p.RequestTasks("a", tabular.WorkerID(fmt.Sprintf("r%d", i)), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tasks) != 2 {
+			t.Fatalf("request %d: %d tasks, want 2", i, len(tasks))
+		}
+	}
+	if after := submitted(); after != before {
+		t.Fatalf("task requests submitted %d shard jobs, want 0", after-before)
+	}
+}
+
+// TestTasksBoundedWaitBehindBusyShard pins that a task request does not
+// wait on a busy-but-NOT-saturated shard: with the project's refresh
+// queued behind slow work (backpressure only trips on a full queue), the
+// request is served promptly from the latest published view and the
+// answers recorded since it.
+func TestTasksBoundedWaitBehindBusyShard(t *testing.T) {
+	p := NewWithOptions(67, Options{Workers: 1, QueueDepth: 64})
+	defer p.Close()
+	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 3, UseTCrowdAssignment: true, RefreshEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
-	after := p.ShardMetrics()[sh]
-	if after.Enqueued+after.Coalesced == before.Enqueued+before.Coalesced {
-		t.Fatal("assign refresh did not route through the shard scheduler")
+	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
+		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if after.Completed == before.Completed {
-		t.Fatal("assign refresh did not complete on the shard worker")
+	proj, _ := p.Project("a")
+	waitFor(t, func() bool {
+		snap, err := p.Snapshot("a")
+		return err == nil && snap.AnswersSeen == 3 && proj.tasksView.Load() != nil
+	})
+	// Occupy the only worker with a slow job. The queue (depth 64) stays
+	// far from full: no backpressure, only backlog.
+	gate := make(chan struct{})
+	defer close(gate)
+	if err := p.sched.Submit("blocker", func() error { <-gate; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return p.ShardMetrics()[0].Depth == 0 }) // blocker occupies the worker
+	// The next answer's refresh queues behind the blocker.
+	if err := p.Submit("a", "w4", 1, "price", tabular.NumberValue(8)); err != nil {
+		t.Fatal(err)
+	}
+	if d := p.ShardMetrics()[0].Depth; d == 0 {
+		t.Fatal("refresh not queued behind the busy worker")
+	}
+
+	start := time.Now()
+	tasks, err := p.RequestTasks("a", "w9", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) == 0 {
+		t.Fatal("no tasks served from the published view")
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("task request stalled %v behind the busy shard", elapsed)
 	}
 }
 
@@ -508,61 +590,14 @@ func TestLegacyRoutesRemoved(t *testing.T) {
 	}
 }
 
-// TestTasksBoundedWaitBehindBusyShard pins the bounded-wait rule: a task
-// request whose assign refresh is queued behind other (slow) work on a
-// busy-but-NOT-saturated shard stops waiting after assignRefreshWait and
-// serves from the previous assignment state instead of stalling until the
-// backlog drains (backpressure only trips on a full queue, so without the
-// bound the request would block unboundedly).
-func TestTasksBoundedWaitBehindBusyShard(t *testing.T) {
-	p := NewWithOptions(67, Options{Workers: 1, QueueDepth: 64})
-	defer p.Close()
-	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 3, UseTCrowdAssignment: true, RefreshEvery: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Prime the engine, then occupy the worker with a slow job. The queue
-	// (depth 64) stays far from full: no backpressure, only backlog.
-	if _, err := p.RequestTasks("a", "seed", 1); err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	defer close(gate)
-	if err := p.sched.Submit("blocker", func() error { <-gate; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return p.ShardMetrics()[0].Depth == 0 }) // blocker occupies the worker
-	// Make the engine stale so the task request actually enqueues a
-	// refresh (an up-to-date engine skips the shard round trip entirely).
-	if err := p.Submit("a", "w4", 1, "price", tabular.NumberValue(8)); err != nil {
-		t.Fatal(err)
-	}
-
-	start := time.Now()
-	tasks, err := p.RequestTasks("a", "w9", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tasks) == 0 {
-		t.Fatal("no tasks served from stale state")
-	}
-	if elapsed := time.Since(start); elapsed > assignRefreshWait+5*time.Second {
-		t.Fatalf("task request stalled %v behind the busy shard", elapsed)
-	}
-}
-
 // TestProjectIDRejectsControlCharacters pins the coalescing-key guard: a
 // crafted ID containing a control character (which could collide with
-// another project's shard job key, built as id+"\x00assign") is rejected
-// at creation.
+// another project's compaction job key, built as id+"\x00compact") is
+// rejected at creation.
 func TestProjectIDRejectsControlCharacters(t *testing.T) {
 	p := New(68)
 	defer p.Close()
-	for _, id := range []string{"p\x00assign", "a\nb", "tab\tid", "del\x7f"} {
+	for _, id := range []string{"p\x00compact", "a\nb", "tab\tid", "del\x7f"} {
 		if _, err := p.CreateProject(id, demoSchema(), ProjectConfig{Rows: 1}); err == nil {
 			t.Fatalf("project id %q accepted", id)
 		}

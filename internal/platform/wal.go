@@ -48,8 +48,8 @@ const (
 const walTombstoneSuffix = "#deleted"
 
 // compactJobSuffix namespaces compaction jobs in the shard scheduler's
-// coalescing map, like assignJobSuffix for assignment refreshes: routed
-// to the project's home shard, never coalesced into refresh jobs.
+// coalescing map: routed to the project's home shard, never coalesced
+// into refresh jobs (whose job key is the bare project ID).
 const compactJobSuffix = "\x00compact"
 
 // WALOptions configures the platform's durable write-ahead log. A nil
@@ -153,7 +153,7 @@ func walCreateInfo(proj *Project) walCreateJSON {
 		ID:           proj.ID,
 		Schema:       proj.Table.Schema,
 		Entities:     proj.Table.Entities,
-		TCrowd:       proj.sys != nil,
+		TCrowd:       proj.tcrowd,
 		RefreshEvery: proj.refreshEvery,
 		FsyncPolicy:  proj.fsyncPolicy,
 		PolishFrac:   proj.polishFrac,
@@ -195,7 +195,7 @@ func appendCreateRecord(l *wal.Log, info walCreateJSON) error {
 // shard (own coalescing key, so it never collapses into refreshes).
 // Best-effort: a shed job is retried at the next segment rotation.
 func (p *Platform) scheduleCompaction(projectID string, proj *Project) {
-	_, _ = p.sched.SubmitNotifyKeyed(projectID, projectID+compactJobSuffix,
+	_ = p.sched.SubmitKeyed(projectID, projectID+compactJobSuffix,
 		func() error { return p.compactProject(proj) })
 }
 

@@ -358,11 +358,11 @@ func waitUntil(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestSubmitWaitKeyedRoutesByRouteKeyCoalescesByJobKey pins the split
+// TestSubmitKeyedRoutesByRouteKeyCoalescesByJobKey pins the split
 // identity: keyed jobs run on the ROUTE key's shard (regardless of the
 // job key), coalesce with queued jobs sharing their job key, and never
 // coalesce across distinct job keys for the same route.
-func TestSubmitWaitKeyedRoutesByRouteKeyCoalescesByJobKey(t *testing.T) {
+func TestSubmitKeyedRoutesByRouteKeyCoalescesByJobKey(t *testing.T) {
 	s := New(Options{Workers: 2, QueueDepth: 16})
 	defer s.Close()
 
@@ -370,61 +370,62 @@ func TestSubmitWaitKeyedRoutesByRouteKeyCoalescesByJobKey(t *testing.T) {
 	// hash elsewhere.
 	route, other := keysOnDistinctShards(t, s)
 	sh := s.ShardFor(route)
-	gate := make(chan struct{})
+	// Gates open at the latest when the test ends, so a failed assertion
+	// never leaves Close draining a blocked worker.
+	gate, gate2 := make(chan struct{}), make(chan struct{})
+	var gateOnce, gate2Once sync.Once
+	release := func(g chan struct{}, once *sync.Once) { once.Do(func() { close(g) }) }
+	defer release(gate, &gateOnce)
+	defer release(gate2, &gate2Once)
 	if err := s.Submit(route, func() error { <-gate; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		done <- s.SubmitWaitKeyed(route, other /* jobKey hashing to the other shard */, func() error { return nil })
-	}()
+	waitUntil(t, func() bool { return s.Metrics()[sh].Depth == 0 }) // blocker running
+	done := make(chan struct{})
+	if err := s.SubmitKeyed(route, other /* jobKey hashing to the other shard */, func() error {
+		close(done)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	// The keyed job must be behind the blocker on route's shard: the
 	// other shard stays idle, so nothing completes until the gate opens.
-	queued := time.Now().Add(5 * time.Second)
-	for s.Metrics()[sh].Depth == 0 {
-		if time.Now().After(queued) {
-			t.Fatal("keyed job not queued on the route key's shard")
-		}
-		time.Sleep(time.Millisecond)
+	if d := s.Metrics()[sh].Depth; d != 1 {
+		t.Fatalf("keyed job not queued on the route key's shard (depth %d)", d)
 	}
 	select {
 	case <-done:
 		t.Fatal("keyed job ran before the route shard's blocker finished")
-	default:
+	case <-time.After(20 * time.Millisecond):
 	}
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	release(gate, &gateOnce)
+	<-done
 
 	// Coalescing: with the worker blocked again, two keyed submits under
 	// one job key collapse into one queued job; a submit under a second
 	// job key does not.
-	gate2 := make(chan struct{})
 	if err := s.Submit(route, func() error { <-gate2; return nil }); err != nil {
 		t.Fatal(err)
 	}
+	waitUntil(t, func() bool { return s.Metrics()[sh].Depth == 0 }) // blocker running
 	var ran atomic.Int64
-	results := make(chan error, 3)
+	ranDone := make(chan struct{}, 3)
 	for _, jobKey := range []string{"kind-a", "kind-a", "kind-b"} {
-		jk := jobKey
-		go func() {
-			results <- s.SubmitWaitKeyed(route, jk, func() error { ran.Add(1); return nil })
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics()[sh].Coalesced == 0 || s.Metrics()[sh].Depth < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("keyed coalescing metrics: %+v", s.Metrics()[sh])
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate2)
-	for i := 0; i < 3; i++ {
-		if err := <-results; err != nil {
+		if err := s.SubmitKeyed(route, jobKey, func() error {
+			ran.Add(1)
+			ranDone <- struct{}{}
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if m := s.Metrics()[sh]; m.Coalesced == 0 || m.Depth != 2 {
+		t.Fatalf("keyed coalescing metrics: %+v", m)
+	}
+	release(gate2, &gate2Once)
+	<-ranDone
+	<-ranDone
+	waitUntil(t, func() bool { m := s.Metrics()[sh]; return m.Depth == 0 && m.Completed == m.Enqueued })
 	if got := ran.Load(); got != 2 {
 		t.Fatalf("keyed jobs ran %d times, want 2 (kind-a coalesced, kind-b separate)", got)
 	}
