@@ -161,12 +161,22 @@ func runAdversarial(t *testing.T, ds *simulate.Dataset, stream []wireBatch, defe
 		if rejected[b.worker] {
 			continue // a real client stops hammering after a 403
 		}
-		if _, err := c.SubmitAnswers(ctx, id, b.answers); err != nil {
+		resp, err := c.SubmitAnswers(ctx, id, b.answers)
+		if err != nil {
 			w := ds.WorkerByID(tabular.WorkerID(b.worker))
 			if !IsWorkerBanned(err) || w == nil || w.Persona == simulate.Honest {
 				t.Fatalf("defense=%v: worker %s rejected: %v", defense, b.worker, err)
 			}
 			rejected[b.worker] = true
+			continue
+		}
+		if resp.Refresh == api.RefreshEnqueued {
+			// Pin the refresh point: wait for the generation that reflects
+			// this batch, so both runs refit at the same log positions
+			// whatever the shard's timing.
+			if _, err := c.Estimates(ctx, id, EstimatesQuery{Limit: 1, MinGeneration: api.GenerationFresh}); err != nil {
+				t.Fatalf("defense=%v: fresh read: %v", defense, err)
+			}
 		}
 	}
 

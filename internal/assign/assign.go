@@ -99,7 +99,7 @@ func (st *State) Frozen(est metrics.Estimates, log *tabular.AnswerLog, fitted in
 	post := st.Model.Clone()
 	fr := &State{Model: post, Log: log, Fitted: fitted, Est: est}
 	if st.Err != nil {
-		fr.Err = st.Err.Frozen(post, log)
+		fr.Err = st.Err.Frozen(post)
 	}
 	return fr
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"tcrowd/internal/core"
+	"tcrowd/internal/ingest"
 	"tcrowd/internal/metrics"
 	"tcrowd/internal/stats"
 	"tcrowd/internal/tabular"
@@ -19,9 +20,11 @@ import (
 // An "error" is defined against the current estimated truth: for a
 // categorical answer e = 1{a != T-hat}; for a continuous answer
 // e = z(a) - z(T-hat) in standardized units. The model keeps one error per
-// (worker, cell) — a worker's latest answer on a cell defines their error
-// there — so an error is a removable unit and the whole model can be
-// maintained from sufficient statistics.
+// (worker, cell) — a worker answers a cell at most once; should the store
+// hold repeats, the last in its canonical order defines the error — so an
+// error is a removable unit and the whole model can be maintained from
+// sufficient statistics. The answers are the fitted inference model's own
+// CSR store (core.Model.Answers): the error model keeps no answer copy.
 //
 // # Sufficient-statistics maintenance
 //
@@ -38,9 +41,9 @@ import (
 //     the polish-anchor path, with every buffer arena-reused so a steady
 //     rebuild allocates nothing.
 //   - UpdateCells adjusts only the accumulator contributions of the given
-//     cells' errors (remove old value, add new) and refits the
-//     closed-forms — O(answers in the touched cells × row width), the
-//     streaming-refresh path.
+//     cells' errors (remove old value, add new; each cell's answers are
+//     one CSR run) and refits the closed-forms — O(answers in the touched
+//     cells × row width), the streaming-refresh path.
 //
 // Continuous errors are winsorized at 3 robust sigmas per column; the
 // bounds are frozen at Rebuild time and reused verbatim by UpdateCells and
@@ -49,10 +52,10 @@ import (
 // from-scratch pass; the periodic Rebuild at polish anchors resets it.
 type ErrorModel struct {
 	// post supplies the standardisation constants continuous errors are
-	// measured in; log holds the answers whose errors the model fits
-	// (Rebuild, UpdateCells) and the row-error queries read.
+	// measured in and the worker count; ans is the model's CSR answer
+	// store, whose errors the model fits (Rebuild, UpdateCells).
 	post *core.Posterior
-	log  *tabular.AnswerLog
+	ans  *ingest.Log
 	// nCols/rows mirror the table dimensions.
 	nCols, rows int
 	// isCat[j] marks categorical columns.
@@ -61,12 +64,10 @@ type ErrorModel struct {
 	// the marginal.
 	minPairs int
 
-	// Worker registry: widx maps a worker to its slot; rowVec[w*rows+i]
-	// holds the errArena offset of (worker w, row i)'s dense error vector
-	// (nCols wide, NaN marking columns without an observed error), or -1.
-	widx    map[tabular.WorkerID]int
-	workers []tabular.WorkerID
-	rowVec  []int32
+	// rowVec[w*rows+i] holds the errArena offset of (worker w, row i)'s
+	// dense error vector (nCols wide, NaN marking columns without an
+	// observed error), or -1; w is the model's worker index.
+	rowVec []int32
 	// vecSlots lists the rowVec slots with live vectors, for full passes.
 	vecSlots []int32
 	errArena []float64
@@ -151,19 +152,18 @@ type pairModel struct {
 	pj                         float64
 }
 
-// NewErrorModel returns an empty model bound to m and its source log;
+// NewErrorModel returns an empty model bound to m and its answer store;
 // Rebuild fits it.
 func NewErrorModel(m *core.Model) *ErrorModel {
 	tbl := m.Table
 	nCols := tbl.NumCols()
 	em := &ErrorModel{
 		post:       &m.Posterior,
-		log:        m.Log,
+		ans:        m.Answers(),
 		nCols:      nCols,
 		rows:       tbl.NumRows(),
 		isCat:      make([]bool, nCols),
 		minPairs:   8,
-		widx:       make(map[tabular.WorkerID]int),
 		marg:       make([]margAcc, nCols),
 		pairs:      make([]pairAcc, nCols*nCols),
 		margCat:    make([]stats.Bernoulli, nCols),
@@ -183,13 +183,12 @@ func NewErrorModel(m *core.Model) *ErrorModel {
 
 // Frozen returns a query-only copy of the fitted model for concurrent
 // scoring: the marginals, pair conditionals, weights W and winsorization
-// bounds are copied, continuous errors are measured against post (a
-// frozen posterior), and the row-error queries read log. The copy holds
-// no accumulators: Rebuild and UpdateCells must not be called on it.
-func (em *ErrorModel) Frozen(post *core.Posterior, log *tabular.AnswerLog) *ErrorModel {
+// bounds are copied and continuous errors are measured against post (a
+// frozen posterior). The copy holds no accumulators and no answer store:
+// Rebuild and UpdateCells must not be called on it.
+func (em *ErrorModel) Frozen(post *core.Posterior) *ErrorModel {
 	return &ErrorModel{
 		post:     post,
-		log:      log,
 		nCols:    em.nCols,
 		margCat:  slices.Clone(em.margCat),
 		margCont: slices.Clone(em.margCont),
@@ -209,19 +208,12 @@ func BuildErrorModel(m *core.Model) *ErrorModel {
 	return em
 }
 
-// workerOf returns worker u's slot, registering a first-seen worker (and
-// growing the row-vector table) on the way.
-func (em *ErrorModel) workerOf(u tabular.WorkerID) int {
-	k, ok := em.widx[u]
-	if !ok {
-		k = len(em.workers)
-		em.widx[u] = k
-		em.workers = append(em.workers, u)
-		for r := 0; r < em.rows; r++ {
-			em.rowVec = append(em.rowVec, -1)
-		}
+// growWorkers extends the row-vector table to the model's worker count:
+// streamed batches register new workers.
+func (em *ErrorModel) growWorkers() {
+	for len(em.rowVec) < len(em.post.WorkerIDs)*em.rows {
+		em.rowVec = append(em.rowVec, -1)
 	}
-	return k
 }
 
 // vecFor returns (allocating on first touch) the dense error vector of
@@ -241,18 +233,27 @@ func (em *ErrorModel) vecFor(w, i int) []float64 {
 	return em.errArena[off : off+em.nCols]
 }
 
-// answerError computes one answer's error against guess, clamping
+// storedError computes one stored answer's error against guess, clamping
 // continuous errors into the frozen winsorization bounds (when clamp is
 // set and the column has non-degenerate bounds).
-func (em *ErrorModel) answerError(a tabular.Answer, guess tabular.Value, clamp bool) float64 {
-	j := a.Cell.Col
-	if a.Value.Kind == tabular.Label {
-		if a.Value.Equal(guess) {
-			return 0
-		}
-		return 1
+func (em *ErrorModel) storedError(a *ingest.Answer, guess tabular.Value, clamp bool) float64 {
+	if a.IsCat {
+		return labelError(a.Label, guess)
 	}
-	e := em.post.ToZ(j, a.Value.X) - em.post.ToZ(j, guess.X)
+	return em.contError(a.J, a.X, guess, clamp)
+}
+
+// labelError is the 0/1 error of label l against guess.
+func labelError(l int, guess tabular.Value) float64 {
+	if guess.Kind == tabular.Label && guess.L == l {
+		return 0
+	}
+	return 1
+}
+
+// contError is the standardized error of raw value x in column j.
+func (em *ErrorModel) contError(j int, x float64, guess tabular.Value, clamp bool) float64 {
+	e := em.post.ToZ(j, x) - em.post.ToZ(j, guess.X)
 	if clamp && em.boundHi[j] > em.boundLo[j] {
 		e = stats.Clamp(e, em.boundLo[j], em.boundHi[j])
 	}
@@ -268,6 +269,7 @@ func (em *ErrorModel) answerError(a tabular.Answer, guess tabular.Value, clamp b
 //tcrowd:noalloc
 func (em *ErrorModel) Rebuild(est metrics.Estimates) {
 	// Reset the per-(worker, row) vectors and accumulators.
+	em.growWorkers()
 	for i := range em.rowVec {
 		em.rowVec[i] = -1
 	}
@@ -280,15 +282,15 @@ func (em *ErrorModel) Rebuild(est metrics.Estimates) {
 		em.pairs[idx] = pairAcc{}
 	}
 
-	// Pass 1: raw (unclamped) last-answer-wins errors into the vectors.
-	for _, a := range em.log.All() {
-		i, j := a.Cell.Row, a.Cell.Col
-		guess := est[i][j]
+	// Pass 1: raw (unclamped) errors of the stored answers into the
+	// vectors.
+	for idx := range em.ans.Ans {
+		a := &em.ans.Ans[idx]
+		guess := est[a.I][a.J]
 		if guess.IsNone() {
 			continue
 		}
-		v := em.vecFor(em.workerOf(a.Worker), i)
-		v[j] = em.answerError(a, guess, false)
+		em.vecFor(a.W, a.I)[a.J] = em.storedError(a, guess, false)
 	}
 
 	// Pass 2: fresh robust winsorization bounds per continuous column.
@@ -352,17 +354,18 @@ func (em *ErrorModel) Rebuild(est metrics.Estimates) {
 //
 //tcrowd:noalloc
 func (em *ErrorModel) UpdateCells(est metrics.Estimates, cells []int) {
-	log := em.log
+	em.growWorkers()
 	for _, key := range cells {
 		i, j := key/em.nCols, key%em.nCols
 		guess := est[i][j]
 		if guess.IsNone() {
 			continue
 		}
-		for _, ai := range log.CellIndices(tabular.Cell{Row: i, Col: j}) {
-			a := log.At(ai)
-			e := em.answerError(a, guess, true)
-			v := em.vecFor(em.workerOf(a.Worker), i)
+		lo, hi := em.ans.CellRange(key)
+		for idx := lo; idx < hi; idx++ {
+			a := &em.ans.Ans[idx]
+			e := em.storedError(a, guess, true)
+			v := em.vecFor(a.W, i)
 			old := v[j]
 			if old == e {
 				continue
@@ -587,24 +590,25 @@ func (pm *pairModel) condContNormal(ek float64) stats.Normal {
 	return swapped.ConditionalY(ek)
 }
 
-// RowErrors computes worker u's observed errors E^u_i on row i against the
-// current estimates: the inputs to Eq. 7. Columns without an estimate or
-// without an answer by u are absent.
-func (em *ErrorModel) RowErrors(u tabular.WorkerID, row int, est metrics.Estimates) map[int]float64 {
+// RowErrors computes worker u's observed errors E^u_i on row i of log (the
+// answers the caller scores against) against the current estimates: the
+// inputs to Eq. 7. Columns without an estimate or without an answer by u
+// are absent.
+func (em *ErrorModel) RowErrors(log *tabular.AnswerLog, u tabular.WorkerID, row int, est metrics.Estimates) map[int]float64 {
 	out := map[int]float64{}
-	for _, a := range em.log.RowAnswersByWorker(u, row) {
+	for _, a := range log.RowAnswersByWorker(u, row) {
 		em.addError(out, a, est)
 	}
 	return out
 }
 
-// WorkerRowErrors computes the errors of every answer worker u has given,
-// grouped by row, in one pass over u's history. Policies scoring thousands
-// of candidate cells per arrival must use this instead of calling RowErrors
-// per cell (which would rescan the history every time).
-func (em *ErrorModel) WorkerRowErrors(u tabular.WorkerID, est metrics.Estimates) map[int]map[int]float64 {
+// WorkerRowErrors computes the errors of every answer worker u has given in
+// log, grouped by row, in one pass over u's history. Policies scoring
+// thousands of candidate cells per arrival must use this instead of calling
+// RowErrors per cell (which would rescan the history every time).
+func (em *ErrorModel) WorkerRowErrors(log *tabular.AnswerLog, u tabular.WorkerID, est metrics.Estimates) map[int]map[int]float64 {
 	out := map[int]map[int]float64{}
-	for _, a := range em.log.ByWorker(u) {
+	for _, a := range log.ByWorker(u) {
 		row := out[a.Cell.Row]
 		if row == nil {
 			row = map[int]float64{}
@@ -615,13 +619,18 @@ func (em *ErrorModel) WorkerRowErrors(u tabular.WorkerID, est metrics.Estimates)
 	return out
 }
 
-// addError records one answer's error against the estimates into dst.
+// addError records one raw answer's error against the estimates into dst,
+// clamped like a stored answer's.
 func (em *ErrorModel) addError(dst map[int]float64, a tabular.Answer, est metrics.Estimates) {
-	guess := est[a.Cell.Row][a.Cell.Col]
-	if guess.IsNone() {
-		return
+	j := a.Cell.Col
+	guess := est[a.Cell.Row][j]
+	switch {
+	case guess.IsNone():
+	case a.Value.Kind == tabular.Label:
+		dst[j] = labelError(a.Value.L, guess)
+	default:
+		dst[j] = em.contError(j, a.Value.X, guess, true)
 	}
-	dst[a.Cell.Col] = em.answerError(a, guess, true)
 }
 
 // CondWrongProb predicts P(worker's answer on categorical column j is

@@ -112,7 +112,7 @@ func TestRowErrors(t *testing.T) {
 	if u == "" {
 		t.Fatal("no answers in row 0")
 	}
-	errs := em.RowErrors(u, 0, est)
+	errs := em.RowErrors(log, u, 0, est)
 	if len(errs) == 0 {
 		t.Fatal("no row errors for an answering worker")
 	}
@@ -126,7 +126,7 @@ func TestRowErrors(t *testing.T) {
 		}
 	}
 	// A stranger has no errors anywhere.
-	if got := em.RowErrors("stranger", 0, est); len(got) != 0 {
+	if got := em.RowErrors(log, "stranger", 0, est); len(got) != 0 {
 		t.Fatal("stranger with row errors")
 	}
 }

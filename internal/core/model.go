@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"tcrowd/internal/ingest"
 	"tcrowd/internal/metrics"
 	"tcrowd/internal/stats"
 	"tcrowd/internal/tabular"
@@ -333,3 +334,9 @@ func (p *Posterior) AnswerDistribution(u tabular.WorkerID, c tabular.Cell) ([]fl
 
 // NumAnswersUsed reports how many answers survived the mode filter.
 func (m *Model) NumAnswersUsed() int { return len(m.ilog.Ans) }
+
+// Answers returns the model's CSR answer store — every answer the fit
+// holds, decoded, with workers addressed by their WorkerIDs index. It is
+// the model's own state, grown in place by Ingest: callers only read it,
+// between refreshes.
+func (m *Model) Answers() *ingest.Log { return m.ilog }

@@ -371,7 +371,25 @@ func TestWatchSSE(t *testing.T) {
 	defer p.Close()
 	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
-	seedProject(t, p, "a") // generation 1
+	// Seed with one batch: its single refresh publishes generation 1 and
+	// RunInference coalesces with it or finds nothing new, so the watch
+	// below always connects on generation 1 (per-answer submissions under
+	// RefreshEvery 1 publish a timing-dependent number of generations).
+	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 3, RefreshEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var seed []tabular.Answer
+	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
+		seed = append(seed,
+			tabular.Answer{Worker: w, Cell: tabular.Cell{Row: 0, Col: 0}, Value: tabular.LabelValue(1)},
+			tabular.Answer{Worker: w, Cell: tabular.Cell{Row: 0, Col: 1}, Value: tabular.NumberValue(100)})
+	}
+	if _, err := p.SubmitBatch("a", seed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.RunInference("a"); err != nil {
+		t.Fatal(err)
+	}
 
 	req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/projects/a/watch", nil)
 	if err != nil {

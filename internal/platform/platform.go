@@ -125,15 +125,6 @@ type Project struct {
 	// creation and immutable afterwards, so the HTTP layer resolves
 	// labels in O(1) without the platform lock.
 	labelIdx []map[string]int
-	// shadow is the model's source log: refreshes grow it in place from
-	// the main log's delta, preserving the pointer identity the model's
-	// streaming-ingest tier keys on, so EM never reads the main log that
-	// submissions append to under p.mu.
-	//tcrowd:guardedby inferMu
-	shadow *tabular.AnswerLog
-	// shadowAt is the main-log length absorbed into shadow.
-	//tcrowd:guardedby inferMu
-	shadowAt int
 	// inferMu serialises truth inference per project: the cached model is
 	// refreshed incrementally in place, so exactly one RunInference may
 	// touch it at a time (the platform lock stays free meanwhile, so
@@ -142,7 +133,10 @@ type Project struct {
 	// lastModel caches the latest truth-inference fit; after the first
 	// cold fit, refreshes stream the answer delta into it
 	// (core.Ingest + RefreshIncremental) instead of re-decoding the log.
-	// logAtModel is the log length the model has absorbed.
+	// It keeps no source log: Log and the model's CSR answer store are the
+	// only two places an answer is held. logAtModel is the Log length the
+	// model has absorbed — the delta cursor, valid because Log only ever
+	// grows.
 	//tcrowd:guardedby inferMu
 	lastModel *core.Model
 	//tcrowd:guardedby inferMu
@@ -1078,29 +1072,6 @@ func (p *Platform) Watch(projectID string) (*Watcher, error) {
 	return proj.hub.subscribe(), nil
 }
 
-// growShadow appends the main log's unabsorbed delta to the project's
-// shadow log and returns the table. It runs on the project's home shard
-// worker under inferMu; the platform lock is taken only to copy the delta.
-//
-//tcrowd:locked Project.inferMu
-func (p *Platform) growShadow(proj *Project) *tabular.Table {
-	p.mu.Lock()
-	tbl := proj.Table
-	total := proj.Log.Len()
-	var batch []tabular.Answer
-	if total > proj.shadowAt {
-		batch = append([]tabular.Answer(nil), proj.Log.All()[proj.shadowAt:total]...)
-	}
-	p.mu.Unlock()
-
-	if proj.shadow == nil {
-		proj.shadow = tabular.NewAnswerLog()
-	}
-	proj.shadow.AddAll(batch)
-	proj.shadowAt = total
-	return tbl
-}
-
 // refreshProject brings the project's cached model up to date with its
 // answer log and publishes a fresh estimate snapshot. It runs on the
 // project's shard worker; inferMu additionally serialises it against any
@@ -1118,65 +1089,58 @@ func (p *Platform) refreshProject(proj *Project) error {
 	proj.inferMu.Lock()
 	defer proj.inferMu.Unlock()
 
-	// Project logs are append-only with reloads building fresh projects,
-	// so the cached fit is always for a prefix of the shadow.
-	tbl := p.growShadow(proj)
-	shadow, total := proj.shadow, proj.shadowAt
-
+	// Copy the unabsorbed delta (the whole log before the first fit) under
+	// the platform lock, so EM never reads the log submissions append to.
 	p.mu.Lock()
-	m, log := proj.lastModel, proj.Log
+	total := proj.Log.Len()
+	delta := append([]tabular.Answer(nil), proj.Log.All()[proj.logAtModel:total]...)
 	p.mu.Unlock()
 
+	m := proj.lastModel
 	switch {
 	case m == nil:
-		// Cold start directly on the shadow log: EM may run long, and
-		// Submit must not block behind it — the shadow is exactly the
-		// decoupling the old snapshot clone provided, minus the copy, and
-		// the fitted model keys on its pointer identity so every later
-		// refresh streams.
+		// Cold start on a temporary log of the copied prefix. The fitted
+		// model drops it: from here on the model's own CSR store holds its
+		// answers, and every later refresh streams the delta into it.
 		opts := core.Options{MaxIter: 50}
 		if proj.rep != nil {
 			opts.WorkerWeights = proj.rep.Weights()
 		}
-		fit, err := core.Infer(tbl, shadow, opts)
+		src := tabular.NewAnswerLog()
+		src.AddAll(delta)
+		fit, err := core.Infer(proj.Table, src, opts)
 		if err != nil {
 			return err
 		}
-		m = fit
-		p.mu.Lock()
-		proj.lastModel, proj.logAtModel = m, total
-		p.mu.Unlock()
+		fit.Log = nil
+		m, proj.lastModel = fit, fit
 		if proj.tcrowd {
-			proj.assignSt = assign.NewState(m, shadow, true)
+			// The live state is never scored: publishes hand its Frozen
+			// copy the main log.
+			proj.assignSt = assign.NewState(m, nil, true)
 		}
-	case total > proj.logAtModel:
-		// Streaming refresh: absorb the shadow's new suffix in place. A
-		// polished refresh keeps the full iteration budget — seeding at
-		// the previous optimum shortens the path to convergence, it must
-		// not lower the convergence guarantee of requester-facing
-		// estimates; runs that start near the optimum still stop after a
-		// couple of iterations via the tolerance. The polish-cadence knob
-		// (polishFrac) can thin polishes out to a fraction of refreshes,
-		// the rest running only the dirty-cell pass.
-		n, err := m.IngestFrom(shadow)
-		if err != nil {
+	case len(delta) > 0:
+		// Streaming refresh: absorb the delta in place. A polished refresh
+		// keeps the full iteration budget — seeding at the previous
+		// optimum shortens the path to convergence, it must not lower the
+		// convergence guarantee of requester-facing estimates; runs that
+		// start near the optimum still stop after a couple of iterations
+		// via the tolerance. The polish-cadence knob (polishFrac) can thin
+		// polishes out to a fraction of refreshes, the rest running only
+		// the dirty-cell pass.
+		if err := m.Ingest(delta); err != nil {
 			return err
 		}
-		if n > 0 {
-			if proj.rep != nil {
-				// Refresh the per-worker trust weights before EM touches
-				// the new answers: quarantined/banned workers' evidence is
-				// scaled down (or out) of the sufficient statistics.
-				m.SetWorkerWeights(proj.rep.Weights())
-			}
-			rs := m.RefreshIncremental(proj.nextPolishBudget())
-			if proj.assignSt != nil {
-				proj.assignSt.Refreshed(rs)
-			}
+		if proj.rep != nil {
+			// Refresh the per-worker trust weights before EM touches the
+			// new answers: quarantined/banned workers' evidence is scaled
+			// down (or out) of the sufficient statistics.
+			m.SetWorkerWeights(proj.rep.Weights())
 		}
-		p.mu.Lock()
-		proj.logAtModel = total
-		p.mu.Unlock()
+		rs := m.RefreshIncremental(proj.nextPolishBudget())
+		if proj.assignSt != nil {
+			proj.assignSt.Refreshed(rs)
+		}
 	default:
 		// Nothing new since the last publish: keep the current snapshot
 		// (skipping the Estimates rebuild keeps idle refreshes O(1)).
@@ -1184,6 +1148,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 			return nil
 		}
 	}
+	proj.logAtModel = total
 
 	res := &InferenceResult{
 		Estimates:     m.Estimates(),
@@ -1207,7 +1172,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 	if proj.assignSt != nil {
 		// The view goes live before the snapshot that announces it. Its
 		// policies read the live log, under p.mu, in RequestTasks.
-		proj.tasksView.Store(proj.assignSt.Frozen(res.Estimates, log, total))
+		proj.tasksView.Store(proj.assignSt.Frozen(res.Estimates, proj.Log, total))
 	}
 	p.publishSnapshot(proj, res)
 	return nil
@@ -1544,7 +1509,7 @@ func (p *Platform) ImportProjects(r io.Reader) (int, error) {
 	return n, nil
 }
 
-// importAnswers installs an imported answer log on a freshly created
+// importAnswers appends an imported answer log to a freshly created
 // project, logging it as one batch record first when durability is on.
 func (p *Platform) importAnswers(proj *Project, log *tabular.AnswerLog) error {
 	p.mu.Lock()
@@ -1560,14 +1525,7 @@ func (p *Platform) importAnswers(proj *Project, log *tabular.AnswerLog) error {
 			return fmt.Errorf("%w: %v", ErrDurability, err)
 		}
 	}
-	// The swap is safe for the shared shadow log because imports target
-	// freshly created (answerless) projects: the shadow has absorbed
-	// nothing, so the new log still extends its empty prefix. The model
-	// cursors are reset for the same reason — defensively, since a cached
-	// fit cannot exist yet.
-	proj.Log = log
-	//lint:allow lockcheck imports target freshly created projects that have never refreshed, so no inference holds inferMu yet; the reset is defensive (see the comment above)
-	proj.lastModel, proj.logAtModel = nil, 0
+	proj.Log.AddAll(log.All())
 	if rotated {
 		p.scheduleCompaction(proj.ID, proj)
 	}

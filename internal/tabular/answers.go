@@ -78,13 +78,6 @@ func (l *AnswerLog) ByCell(c Cell) []Answer {
 // CountByCell returns |A_ij| without allocating.
 func (l *AnswerLog) CountByCell(c Cell) int { return len(l.byCell[c]) }
 
-// CellIndices returns the indices (into All / At) of the answers on cell c,
-// in insertion order — the zero-allocation counterpart of ByCell for hot
-// paths that only walk a cell's answers. The returned slice is the log's
-// internal index: callers must not mutate it and must not retain it across
-// appends.
-func (l *AnswerLog) CellIndices(c Cell) []int { return l.byCell[c] }
-
 // ByWorker returns all answers by worker u, in insertion order.
 func (l *AnswerLog) ByWorker(u WorkerID) []Answer {
 	idxs := l.byWorker[u]
