@@ -192,7 +192,7 @@ type Answer struct {
 	// the project runs with reputation enabled.
 	WorkTimeMs int64 `json:"work_time_ms,omitempty"`
 	// Client optionally identifies the submitting client software
-	// (free-form, e.g. "webform/2.1"); recorded for diagnostics only.
+	// (free-form, e.g. "webform/2.1"). The server accepts and ignores it.
 	Client string `json:"client,omitempty"`
 }
 
@@ -233,8 +233,8 @@ const (
 )
 
 // SubmitAnswersResponse is the 201 body of POST /v1/projects/{id}/answers.
-// Unlike the legacy route, /v1 never answers 429 for submissions: recorded
-// answers are acknowledged 201 and shard backpressure surfaces as
+// Submissions never answer 429 for shard backpressure: recorded answers
+// are acknowledged 201 and a shed refresh surfaces as
 // Refresh == RefreshDeferred (plus a Retry-After header).
 type SubmitAnswersResponse struct {
 	Status string `json:"status"`

@@ -115,7 +115,7 @@ func (sc *spamScenario) replay(b *testing.B, defense bool) (float64, []tabular.W
 		if banned[batch.worker] {
 			continue
 		}
-		if _, err := p.SubmitBatchMeta(id, batch.answers, batch.metas); err != nil {
+		if _, err := p.SubmitBatch(id, batch.answers, batch.metas); err != nil {
 			if !defense || !errors.Is(err, platform.ErrWorkerBanned) {
 				b.Fatalf("defense=%v: worker %s: %v", defense, batch.worker, err)
 			}

@@ -7,7 +7,6 @@
 //	tcrowd-server -addr :8080
 //	tcrowd-server -wal-dir ./wal                     # durable: ack = fsynced
 //	tcrowd-server -wal-dir ./wal -fsync interval     # bounded-loss durability
-//	tcrowd-server -addr :8080 -state platform.json   # import/export snapshot
 //	tcrowd-server -workers 8 -queue-depth 128        # explicit shard sizing
 //	tcrowd-server -retain-generations 16             # deeper pinned-read window
 //	tcrowd-server -node-id n1 -peers n1=http://a:8080,n2=http://b:8080 -wal-dir ./wal
@@ -17,14 +16,17 @@
 // to this file; wire types: package api; official Go SDK: package client;
 // the pre-v1 unversioned aliases were removed this release):
 //
-//	POST /v1/projects                  register a schema
-//	GET  /v1/projects/{id}/tasks       dynamic task assignment (external-HIT)
-//	POST /v1/projects/{id}/answers     submit one answer or an atomic batch
-//	GET  /v1/projects/{id}/estimates   generation-pinned truth estimates
-//	GET  /v1/projects/{id}/snapshot    alias of /estimates (merged endpoints)
-//	GET  /v1/projects/{id}/watch       generation-bump stream (long-poll / SSE)
-//	GET  /v1/projects/{id}/stats       collection progress
-//	GET  /v1/stats                     shard-scheduler metrics
+//	POST   /v1/projects                  register a schema
+//	GET    /v1/projects                  list project ids
+//	DELETE /v1/projects/{id}             delete a project and its log
+//	GET    /v1/projects/{id}/tasks       dynamic task assignment (external-HIT)
+//	POST   /v1/projects/{id}/answers     submit one answer or an atomic batch
+//	GET    /v1/projects/{id}/estimates   generation-pinned truth estimates
+//	GET    /v1/projects/{id}/snapshot    alias of /estimates (merged endpoints)
+//	GET    /v1/projects/{id}/watch       generation-bump stream (long-poll / SSE)
+//	GET    /v1/projects/{id}/stats       collection progress
+//	GET    /v1/projects/{id}/workers     worker reputation roster
+//	GET    /v1/stats                     shard-scheduler metrics
 //
 // Every non-2xx body is a typed error envelope
 // {"error":{"code","message","retryable"}} with stable machine codes
@@ -44,11 +46,10 @@
 //     project's refresh cadence — it never waits on inference. Recorded
 //     answers are always acknowledged 201; a saturated shard surfaces as
 //     refresh:"deferred" in-body.
-//   - GET /v1/.../tasks routes any due assignment-engine refresh through
-//     the project's shard worker (same coalescing and backpressure as
-//     estimate refreshes) — never on the request goroutine under the
-//     platform lock. Under backpressure tasks are served from the stale
-//     assignment state instead of failing.
+//   - GET /v1/.../tasks scores the assignment view published with the
+//     latest generation, caught up with the answers recorded since; it
+//     never enqueues shard work and never waits on a refresh. Before the
+//     first publish it serves fewest-answers-first.
 //   - GET /v1/.../estimates serves one pinned generation per response:
 //     by default the latest published snapshot (one atomic pointer load,
 //     immune to shard backlog), ?generation= for a retained past state,
@@ -78,11 +79,9 @@
 // the last durable record, while corruption before the tail refuses to
 // boot rather than silently dropping history. Segments rotate at
 // -wal-segment-bytes and rotation schedules a checkpoint compaction on
-// the project's shard, bounding both disk use and replay time.
-//
-// -state is demoted to an import/export snapshot: imported at start only
-// into an empty platform, exported atomically (temp file + fsync +
-// rename) on shutdown. The WAL is the source of truth.
+// the project's shard, bounding both disk use and replay time. The WAL is
+// the only persistence path: without -wal-dir the server keeps nothing
+// across a restart.
 //
 // # Cluster mode
 //
@@ -99,11 +98,11 @@
 // -wal-dir: membership changes hand projects off by shipping the WAL to
 // the new home. See ARCHITECTURE.md, "Cluster layer".
 //
-// On SIGINT/SIGTERM the server stops accepting HTTP, exports -state if
-// set, drains the shard queues, and flushes + fsyncs every WAL regardless
-// of policy. At startup, every recovered or imported project with answers
-// gets a coalescing warmup refresh enqueued, so the read path serves
-// immediately after restart instead of 404ing until the first write.
+// On SIGINT/SIGTERM the server stops accepting HTTP, drains the shard
+// queues, and flushes + fsyncs every WAL regardless of policy. At
+// startup, every recovered project with answers gets a coalescing warmup
+// refresh enqueued, so the read path serves immediately after restart
+// instead of 404ing until the first write.
 package main
 
 import (
@@ -125,7 +124,6 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		state       = flag.String("state", "", "optional JSON export file (imported at start when the platform is empty, exported atomically on SIGINT/SIGTERM); durability lives in -wal-dir")
 		seed        = flag.Int64("seed", 1, "assignment tie-breaking seed")
 		workers     = flag.Int("workers", 0, "inference shard workers (0 = GOMAXPROCS-derived)")
 		depth       = flag.Int("queue-depth", 0, "per-shard refresh queue bound (0 = default 64)")
@@ -159,7 +157,9 @@ func main() {
 
 	opts := platform.Options{Workers: *workers, QueueDepth: *depth, RetainGenerations: *retain, RetainBytes: *retainBytes}
 	var p *platform.Platform
-	if *walDir != "" {
+	if *walDir == "" {
+		p = platform.NewWithOptions(*seed, opts)
+	} else {
 		policy, err := wal.ParseSyncPolicy(*fsync)
 		if err != nil {
 			fatal(err)
@@ -180,32 +180,6 @@ func main() {
 		for _, id := range rep.TornProjects {
 			fmt.Printf("  project %s: torn log tail truncated at last durable record\n", id)
 		}
-	}
-	if *state != "" {
-		if f, err := os.Open(*state); err == nil {
-			// -state is the import/export format now; the WAL is the source
-			// of truth. Import only into an empty platform so a stale export
-			// can never duplicate or shadow recovered projects.
-			if p != nil && len(p.ProjectIDs()) > 0 {
-				fmt.Printf("skipping %s import: %d projects already recovered from WAL\n", *state, len(p.ProjectIDs()))
-				f.Close()
-			} else {
-				if p == nil {
-					p = platform.NewWithOptions(*seed, opts)
-				}
-				n, err := p.ImportProjects(f)
-				f.Close()
-				if err != nil {
-					fatal(fmt.Errorf("importing %s: %w", *state, err))
-				}
-				fmt.Printf("imported %d projects from %s\n", n, *state)
-			}
-		} else if !os.IsNotExist(err) {
-			fatal(err)
-		}
-	}
-	if p == nil {
-		p = platform.NewWithOptions(*seed, opts)
 	}
 
 	handler := platform.NewServer(p)
@@ -253,19 +227,9 @@ func main() {
 	}
 
 	// HTTP is stopped: detach the cluster layer first (its shippers hold
-	// the publish hook), then export state while the WAL is still open
-	// (Close wedges late appends), then drain queued refreshes and fsync
-	// the logs. The export is atomic — temp file, fsync, rename — so a
-	// crash mid-save can never destroy the previous export.
+	// the publish hook), then drain queued refreshes and fsync the logs.
 	if node != nil {
 		node.Close()
-	}
-	if *state != "" {
-		if err := p.SaveToFile(*state); err != nil {
-			fmt.Fprintf(os.Stderr, "tcrowd-server: saving state: %v\n", err)
-		} else {
-			fmt.Printf("state saved to %s\n", *state)
-		}
 	}
 	if err := p.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "tcrowd-server: closing platform: %v\n", err)

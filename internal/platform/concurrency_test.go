@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -36,7 +37,12 @@ func TestConcurrentWorkers(t *testing.T) {
 					} else {
 						v = tabular.NumberValue(float64(10*w + round))
 					}
-					if err := p.Submit("conc", id, task.Row, task.Column, v); err != nil && err != ErrAlreadyAnswered {
+					a := tabular.Answer{Worker: id, Cell: tabular.Cell{Row: task.Row, Col: demoSchema().ColumnIndex(task.Column)}, Value: v}
+					res, err := p.SubmitBatch("conc", []tabular.Answer{a}, nil)
+					if err == nil {
+						err = res.RefreshErr
+					}
+					if err != nil && !errors.Is(err, ErrAlreadyAnswered) {
 						errs <- err
 						return
 					}

@@ -15,6 +15,7 @@ import (
 
 	"tcrowd/api"
 	"tcrowd/internal/tabular"
+	"tcrowd/internal/wal"
 )
 
 // startWriter hammers the project with unique single-answer submissions
@@ -28,6 +29,7 @@ func startWriter(t *testing.T, p *Platform, id string) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	var once sync.Once
+	price := demoSchema().ColumnIndex("price")
 	go func() {
 		defer close(finished)
 		for i := 0; i < writerCap; i++ {
@@ -38,7 +40,8 @@ func startWriter(t *testing.T, p *Platform, id string) (stop func()) {
 			}
 			w := tabular.WorkerID(fmt.Sprintf("writer-%06d", i))
 			// Saturation only sheds the refresh; the answer still lands.
-			_ = p.Submit(id, w, i%3, "price", tabular.NumberValue(float64(5+i%9)))
+			a := tabular.Answer{Worker: w, Cell: tabular.Cell{Row: i % 3, Col: price}, Value: tabular.NumberValue(float64(5 + i%9))}
+			_, _ = p.SubmitBatch(id, []tabular.Answer{a}, nil)
 		}
 	}()
 	return func() { once.Do(func() { close(done) }); <-finished }
@@ -94,9 +97,7 @@ func TestPagedWalkGenerationCoherentUnderWrites(t *testing.T) {
 	for i := 0; walked.NextCursor != ""; i++ {
 		// Force the model past the pinned generation before every page.
 		w := tabular.WorkerID(fmt.Sprintf("interleaved-%02d", i))
-		if err := p.Submit("hot", w, i%3, "price", tabular.NumberValue(9)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "hot", w, i%3, "price", tabular.NumberValue(9))
 		if _, err := p.RunInference("hot"); err != nil {
 			t.Fatal(err)
 		}
@@ -188,9 +189,7 @@ func TestConditionalGet(t *testing.T) {
 
 	// New answers + refresh publish a new generation: same conditional
 	// read now returns a fresh 200 with a new ETag.
-	if err := p.Submit("a", "w9", 1, "price", tabular.NumberValue(42)); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, p, "a", "w9", 1, "price", tabular.NumberValue(42))
 	if _, err := p.RunInference("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +216,7 @@ func TestGenerationRetainedRing(t *testing.T) {
 	seedProject(t, p, "a") // publishes generation 1
 	for gen := 2; gen <= 4; gen++ {
 		w := tabular.WorkerID(fmt.Sprintf("g%d", gen))
-		if err := p.Submit("a", w, 2, "price", tabular.NumberValue(float64(gen))); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", w, 2, "price", tabular.NumberValue(float64(gen)))
 		if _, err := p.RunInference("a"); err != nil {
 			t.Fatal(err)
 		}
@@ -327,9 +324,7 @@ func TestWatchLongPoll(t *testing.T) {
 		got <- r
 	}()
 	time.Sleep(50 * time.Millisecond) // let the poll park
-	if err := p.Submit("a", "w9", 1, "price", tabular.NumberValue(7)); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, p, "a", "w9", 1, "price", tabular.NumberValue(7))
 	if _, err := p.RunInference("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +379,7 @@ func TestWatchSSE(t *testing.T) {
 			tabular.Answer{Worker: w, Cell: tabular.Cell{Row: 0, Col: 0}, Value: tabular.LabelValue(1)},
 			tabular.Answer{Worker: w, Cell: tabular.Cell{Row: 0, Col: 1}, Value: tabular.NumberValue(100)})
 	}
-	if _, err := p.SubmitBatch("a", seed); err != nil {
+	if _, err := p.SubmitBatch("a", seed, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.RunInference("a"); err != nil {
@@ -448,9 +443,7 @@ func TestWatchSSE(t *testing.T) {
 	}
 	for gen := 2; gen <= 4; gen++ {
 		w := tabular.WorkerID(fmt.Sprintf("sse%d", gen))
-		if err := p.Submit("a", w, 1, "price", tabular.NumberValue(float64(gen))); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", w, 1, "price", tabular.NumberValue(float64(gen)))
 		if _, err := p.RunInference("a"); err != nil {
 			t.Fatal(err)
 		}
@@ -479,9 +472,7 @@ func TestWatchCoalescesSlowConsumer(t *testing.T) {
 	const publishes = watchBuffer + 8
 	for i := 0; i < publishes; i++ {
 		wid := tabular.WorkerID(fmt.Sprintf("slow%03d", i))
-		if err := p.Submit("a", wid, i%3, "price", tabular.NumberValue(float64(i))); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", wid, i%3, "price", tabular.NumberValue(float64(i)))
 		if _, err := p.RunInference("a"); err != nil {
 			t.Fatal(err)
 		}
@@ -543,31 +534,28 @@ func TestWatchClosesOnPlatformClose(t *testing.T) {
 	}
 }
 
-// TestLoadWarmupServesSnapshot pins the restart story: after a -state
-// reload, every project with answers gets a warmup refresh enqueued at
-// load, so the generation-pinned read path serves WITHOUT any post-restart
-// write (it used to 404 until the first submission).
+// TestLoadWarmupServesSnapshot pins the restart story: when Recover loads
+// the projects back from the WAL, every project with answers gets a warmup
+// refresh enqueued, so the generation-pinned read path serves WITHOUT any
+// post-restart write (it used to 404 until the first submission).
 func TestLoadWarmupServesSnapshot(t *testing.T) {
-	p := New(78)
+	fs := wal.NewMemFS()
+	p := NewWithOptions(78, walTestOpts(fs, wal.SyncNever))
 	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", w, 0, "category", tabular.LabelValue(1))
 	}
 	// An empty project rides along: it must not break the warmup sweep.
 	if _, err := p.CreateProject("empty", demoSchema(), ProjectConfig{Rows: 2}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
 
-	reloaded, err := Load(&buf, 78)
+	reloaded, _, err := Recover(78, walTestOpts(fs, wal.SyncNever))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,12 @@
 //     InferenceResult snapshot behind an atomic pointer (copy-on-publish);
 //     Snapshot serves the latest one without ever waiting on EM.
 //
-// Submit enqueues an asynchronous refresh on the project's refresh cadence
-// (immediately until a first snapshot exists, then every RefreshEvery-th
-// answer), so published snapshots track the log with bounded lag without
-// running EM per answer. RunInference is the strongly consistent read: it
-// routes through the same per-shard queue and waits, returning estimates
-// that reflect every answer recorded before the call.
+// SubmitBatch enqueues an asynchronous refresh on the project's refresh
+// cadence (immediately until a first snapshot exists, then every
+// RefreshEvery-th answer), so published snapshots track the log with
+// bounded lag without running EM per answer. RunInference is the strongly
+// consistent read: it routes through the same per-shard queue and waits,
+// returning estimates that reflect every answer recorded before the call.
 //
 // # One model per project
 //
@@ -42,11 +42,8 @@
 package platform
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -324,7 +321,7 @@ type ProjectConfig struct {
 	// fewest-answers-first.
 	UseTCrowdAssignment bool
 	// RefreshEvery bounds submissions between the asynchronous inference
-	// refreshes Submit enqueues (default 25; use 1 for a refresh per
+	// refreshes SubmitBatch enqueues (default 25; use 1 for a refresh per
 	// answer). Each refresh also republishes the assignment view.
 	RefreshEvery int
 	// FsyncPolicy overrides the platform-wide WAL fsync policy for this
@@ -506,14 +503,8 @@ func (p *Platform) ProjectIDs() []string {
 }
 
 // Task is what a worker receives: the cell plus everything needed to
-// render the question.
-type Task struct {
-	Row    int      `json:"row"`
-	Entity string   `json:"entity"`
-	Column string   `json:"column"`
-	Type   string   `json:"type"`
-	Labels []string `json:"labels,omitempty"`
-}
+// render the question (the wire shape itself).
+type Task = api.Task
 
 // RequestTasks assigns up to k cells to worker u (the external-HIT hook):
 // via structure-aware T-Crowd assignment when enabled, otherwise
@@ -675,13 +666,11 @@ type BatchResult struct {
 }
 
 // AnswerMeta carries optional per-answer submission metadata riding next
-// to the answer on the wire (api.Answer.WorkTimeMs / .Client).
+// to the answer on the wire (api.Answer.WorkTimeMs).
 type AnswerMeta struct {
 	// WorkTimeMs is the client-reported time spent on the task in
 	// milliseconds (0 = not reported). Negative values fail validation.
 	WorkTimeMs int64
-	// Client identifies the submitting client software (diagnostics only).
-	Client string
 }
 
 // validateAnswer checks one answer against the project under p.mu; seen
@@ -727,18 +716,12 @@ func validateAnswer(proj *Project, a tabular.Answer, seen map[tabular.Answer]boo
 //
 // Answers address cells directly (Cell.Col is a schema column index); the
 // HTTP layer resolves column names and labels via Project.LabelIndex.
-func (p *Platform) SubmitBatch(projectID string, answers []tabular.Answer) (BatchResult, error) {
-	return p.SubmitBatchMeta(projectID, answers, nil)
-}
-
-// SubmitBatchMeta is SubmitBatch with per-answer submission metadata:
-// meta[i] annotates answers[i] (nil meta = no metadata, identical to
-// SubmitBatch). On a project running the reputation engine each accepted
-// answer is also folded into the submitting worker's trust score — answers
-// from auto-banned workers are rejected per item with ErrWorkerBanned —
-// and any state-change verdicts are appended to the WAL so bans survive
-// crash recovery.
-func (p *Platform) SubmitBatchMeta(projectID string, answers []tabular.Answer, meta []AnswerMeta) (BatchResult, error) {
+// meta[i] annotates answers[i] (nil meta = no metadata). On a project
+// running the reputation engine each accepted answer is also folded into
+// the submitting worker's trust score — answers from auto-banned workers
+// are rejected per item with ErrWorkerBanned — and any state-change
+// verdicts are appended to the WAL so bans survive crash recovery.
+func (p *Platform) SubmitBatch(projectID string, answers []tabular.Answer, meta []AnswerMeta) (BatchResult, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	proj, ok := p.projects[projectID]
@@ -845,50 +828,6 @@ func (p *Platform) SubmitBatchMeta(projectID string, answers []tabular.Answer, m
 		}
 	}
 	return res, nil
-}
-
-// Submit records worker u's answer for (row, column). Values are validated
-// against the schema, and double answers by the same worker are rejected.
-//
-// Accepted answers also keep the published estimate snapshot warm: an
-// asynchronous refresh is enqueued on the project's shard on the project's
-// refresh cadence — immediately while no snapshot exists yet, then every
-// RefreshEvery-th submission (coalesced: a burst of submissions costs one
-// queued refresh). Cadence gating keeps write-only projects from running
-// EM per answer; published snapshots lag the log by at most RefreshEvery
-// answers plus the in-flight refresh, and strongly consistent reads
-// (RunInference) always see everything.
-//
-// When the shard queue is saturated, the ANSWER IS STILL RECORDED — only
-// the refresh is shed — and Submit returns an error wrapping
-// shard.ErrShardSaturated so callers can apply backpressure (the legacy
-// HTTP route maps it to 429; /v1 reports it in-body instead). The same
-// applies to shard.ErrClosed during shutdown. SubmitBatch is the
-// batch-oriented equivalent.
-func (p *Platform) Submit(projectID string, u tabular.WorkerID, row int, column string, value tabular.Value) error {
-	p.mu.Lock()
-	proj, ok := p.projects[projectID]
-	p.mu.Unlock()
-	if !ok {
-		return ErrNoProject
-	}
-	j := proj.Table.Schema.ColumnIndex(column)
-	if j < 0 {
-		return fmt.Errorf("platform: unknown column %q", column)
-	}
-	a := tabular.Answer{Worker: u, Cell: tabular.Cell{Row: row, Col: j}, Value: value}
-	res, err := p.SubmitBatch(projectID, []tabular.Answer{a})
-	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) {
-			return be.Items[0].Err
-		}
-		return err
-	}
-	if res.RefreshErr != nil {
-		return fmt.Errorf("platform: answer recorded, refresh shed: %w", res.RefreshErr)
-	}
-	return nil
 }
 
 // InferenceResult is the requester-facing output: estimates plus worker
@@ -1338,15 +1277,8 @@ func changedCells(prev, cur *InferenceResult, tbl *tabular.Table) (int, []api.Ch
 	return n, cells, n > api.MaxChangedCells
 }
 
-// Stats summarises collection progress.
-type Stats struct {
-	Rows           int     `json:"rows"`
-	Columns        int     `json:"columns"`
-	Cells          int     `json:"cells"`
-	Answers        int     `json:"answers"`
-	Workers        int     `json:"workers"`
-	AnswersPerTask float64 `json:"answers_per_task"`
-}
+// Stats summarises collection progress (the wire shape itself).
+type Stats = api.StatsResponse
 
 // Stats returns collection progress for a project.
 func (p *Platform) Stats(projectID string) (Stats, error) {
@@ -1372,162 +1304,4 @@ func (p *Platform) Stats(projectID string) (Stats, error) {
 		Workers:        workers,
 		AnswersPerTask: float64(answers) / float64(proj.Table.NumCells()),
 	}, nil
-}
-
-// persisted wire format.
-type projectJSON struct {
-	ID       string          `json:"id"`
-	Schema   tabular.Schema  `json:"schema"`
-	Entities []string        `json:"entities"`
-	Answers  json.RawMessage `json:"answers"`
-	TCrowd   bool            `json:"tcrowd_assignment"`
-	// RefreshEvery persists the project's refresh cadence (0 in state
-	// files predating the field decodes to the default).
-	RefreshEvery int `json:"refresh_every,omitempty"`
-	// FsyncPolicy persists the project's durability override (empty in
-	// state files predating the field decodes to the platform default).
-	FsyncPolicy string `json:"fsync_policy,omitempty"`
-	// PolishFrac persists the polish-cadence knob (0 = every refresh).
-	PolishFrac float64 `json:"polish_frac,omitempty"`
-	// Reputation persists whether the project runs the reputation engine.
-	// Only the flag is exported: trust state rebuilds from live traffic
-	// after an import (the WAL, not the export, is the durability story).
-	Reputation bool `json:"reputation,omitempty"`
-}
-
-type platformJSON struct {
-	Projects []projectJSON `json:"projects"`
-}
-
-// Save serialises every project (schema, entities, answer log) as JSON.
-func (p *Platform) Save(w io.Writer) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out platformJSON
-	for _, id := range p.projectIDsLocked() {
-		proj := p.projects[id]
-		var buf bytes.Buffer
-		if err := tabular.EncodeAnswers(&buf, proj.Table.Schema, proj.Log); err != nil {
-			return err
-		}
-		out.Projects = append(out.Projects, projectJSON{
-			ID:           proj.ID,
-			Schema:       proj.Table.Schema,
-			Entities:     proj.Table.Entities,
-			Answers:      json.RawMessage(buf.Bytes()),
-			TCrowd:       proj.tcrowd,
-			RefreshEvery: proj.refreshEvery,
-			FsyncPolicy:  proj.fsyncPolicy,
-			PolishFrac:   proj.polishFrac,
-			Reputation:   proj.rep != nil,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// projectIDsLocked lists project IDs in sorted order.
-//
-//tcrowd:locked Platform.mu
-func (p *Platform) projectIDsLocked() []string {
-	out := make([]string, 0, len(p.projects))
-	for id := range p.projects {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Load restores a platform previously written by Save, with default
-// serving options.
-func Load(r io.Reader, seed int64) (*Platform, error) {
-	return LoadWithOptions(r, seed, Options{})
-}
-
-// LoadWithOptions restores a platform previously written by Save with an
-// explicitly sized shard scheduler. It is ImportProjects into a fresh
-// platform; see there for the warmup and durability semantics.
-func LoadWithOptions(r io.Reader, seed int64, opts Options) (*Platform, error) {
-	p := NewWithOptions(seed, opts)
-	if _, err := p.ImportProjects(r); err != nil {
-		p.Close() // release the scheduler workers of the abandoned platform
-		return nil, err
-	}
-	return p, nil
-}
-
-// ImportProjects restores every project from a Save-format export into
-// the platform, returning how many were imported. An export naming an
-// existing project fails with ErrDuplicateID (projects before it in the
-// export stay imported). With durability enabled each imported project is
-// fully logged — a create record plus one batch record holding its
-// answers — so imports survive crashes like any other write.
-//
-// Cached models and snapshots are not persisted, so each imported project
-// with answers gets a warmup refresh enqueued on its home shard: the cold
-// fit runs in the background and the generation-pinned read path serves
-// as soon as it publishes, instead of 404ing until the first post-import
-// write. Warmup jobs coalesce like any refresh (one queue entry per
-// project) and are best-effort — one shed by a saturated shard is retried
-// by the project's first submission.
-func (p *Platform) ImportProjects(r io.Reader) (int, error) {
-	var in platformJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return 0, err
-	}
-	var warm []*Project
-	n := 0
-	for _, pj := range in.Projects {
-		proj, err := p.CreateProject(pj.ID, pj.Schema, ProjectConfig{
-			Rows:                len(pj.Entities),
-			Entities:            pj.Entities,
-			UseTCrowdAssignment: pj.TCrowd,
-			RefreshEvery:        pj.RefreshEvery,
-			FsyncPolicy:         pj.FsyncPolicy,
-			PolishFrac:          pj.PolishFrac,
-			Reputation:          pj.Reputation,
-		})
-		if err != nil {
-			return n, err
-		}
-		log, err := tabular.DecodeAnswers(bytes.NewReader(pj.Answers), pj.Schema)
-		if err != nil {
-			return n, err
-		}
-		if log.Len() > 0 {
-			if err := p.importAnswers(proj, log); err != nil {
-				return n, err
-			}
-			warm = append(warm, proj)
-		}
-		n++
-	}
-	for _, proj := range warm {
-		_ = p.sched.Submit(proj.ID, func() error { return p.refreshProject(proj) })
-	}
-	return n, nil
-}
-
-// importAnswers appends an imported answer log to a freshly created
-// project, logging it as one batch record first when durability is on.
-func (p *Platform) importAnswers(proj *Project, log *tabular.AnswerLog) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rotated := false
-	if proj.wal != nil {
-		blob, err := tabular.MarshalAnswers(proj.Table.Schema, log.All())
-		if err != nil {
-			return err
-		}
-		rotated, err = proj.wal.Append(wal.Record{Type: walRecBatch, Data: blob})
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrDurability, err)
-		}
-	}
-	proj.Log.AddAll(log.All())
-	if rotated {
-		p.scheduleCompaction(proj.ID, proj)
-	}
-	return nil
 }

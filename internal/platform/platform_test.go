@@ -1,10 +1,13 @@
 package platform
 
 import (
-	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"tcrowd/api"
 	"tcrowd/internal/simulate"
 	"tcrowd/internal/stats"
 	"tcrowd/internal/tabular"
@@ -85,9 +88,7 @@ func TestFewestAnswersFirstBalances(t *testing.T) {
 	}
 	// w1 answers cell (0, category); the next worker should be steered to
 	// less-covered cells first.
-	if err := p.Submit("a", "w1", 0, "category", tabular.LabelValue(0)); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, p, "a", "w1", 0, "category", tabular.LabelValue(0))
 	tasks, err := p.RequestTasks("a", "w2", 5)
 	if err != nil {
 		t.Fatal(err)
@@ -99,32 +100,63 @@ func TestFewestAnswersFirstBalances(t *testing.T) {
 	}
 }
 
+// mustSubmit records worker u's answer for (row, column) through
+// SubmitBatch, failing the test if the answer is rejected or its due
+// refresh is shed.
+func mustSubmit(t testing.TB, p *Platform, id string, u tabular.WorkerID, row int, column string, v tabular.Value) {
+	t.Helper()
+	proj, err := p.Project(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := tabular.Answer{Worker: u, Cell: tabular.Cell{Row: row, Col: proj.Table.Schema.ColumnIndex(column)}, Value: v}
+	res, err := p.SubmitBatch(id, []tabular.Answer{a}, nil)
+	if err == nil {
+		err = res.RefreshErr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	p := New(4)
 	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 2}); err != nil {
 		t.Fatal(err)
 	}
-	ok := p.Submit("a", "w1", 0, "price", tabular.NumberValue(42))
-	if ok != nil {
-		t.Fatal(ok)
+	// demoSchema: column 0 is categorical "category", 1 continuous "price".
+	submit := func(id string, u tabular.WorkerID, row, col int, v tabular.Value) error {
+		_, err := p.SubmitBatch(id, []tabular.Answer{{Worker: u, Cell: tabular.Cell{Row: row, Col: col}, Value: v}}, nil)
+		return err
 	}
-	if err := p.Submit("a", "w1", 0, "price", tabular.NumberValue(43)); !errors.Is(err, ErrAlreadyAnswered) {
+	if err := submit("a", "w1", 0, 1, tabular.NumberValue(42)); err != nil {
+		t.Fatal(err)
+	}
+	if err := submit("a", "w1", 0, 1, tabular.NumberValue(43)); !errors.Is(err, ErrAlreadyAnswered) {
 		t.Fatal("double answer accepted")
 	}
-	if err := p.Submit("a", "w1", 0, "zzz", tabular.NumberValue(1)); err == nil {
-		t.Fatal("unknown column accepted")
+	if err := submit("a", "w1", 0, 2, tabular.NumberValue(1)); err == nil {
+		t.Fatal("out-of-range column accepted")
 	}
-	if err := p.Submit("a", "w1", 99, "price", tabular.NumberValue(1)); err == nil {
+	if err := submit("a", "w1", 99, 1, tabular.NumberValue(1)); err == nil {
 		t.Fatal("bad row accepted")
 	}
-	if err := p.Submit("a", "w1", 0, "category", tabular.NumberValue(1)); err == nil {
+	if err := submit("a", "w1", 0, 0, tabular.NumberValue(1)); err == nil {
 		t.Fatal("mistyped value accepted")
 	}
-	if err := p.Submit("a", "", 1, "price", tabular.NumberValue(1)); err == nil {
+	if err := submit("a", "", 1, 1, tabular.NumberValue(1)); err == nil {
 		t.Fatal("empty worker accepted")
 	}
-	if err := p.Submit("zzz", "w", 0, "price", tabular.NumberValue(1)); !errors.Is(err, ErrNoProject) {
+	if err := submit("zzz", "w", 0, 1, tabular.NumberValue(1)); !errors.Is(err, ErrNoProject) {
 		t.Fatal("phantom project accepted")
+	}
+	// Column names resolve only on the wire: an unknown one is a 400
+	// bad_request that records nothing.
+	rec := httptest.NewRecorder()
+	NewServer(p).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/projects/a/answers",
+		strings.NewReader(`{"worker":"w2","row":1,"column":"zzz","number":1}`)))
+	if env := decodeEnvelope(t, rec.Result()); rec.Code != http.StatusBadRequest || env.Code != api.CodeBadRequest {
+		t.Fatalf("unknown column over HTTP: %d %+v", rec.Code, env)
 	}
 	st, err := p.Stats("a")
 	if err != nil || st.Answers != 1 || st.Workers != 1 || st.Cells != 4 {
@@ -139,15 +171,11 @@ func TestEndToEndInference(t *testing.T) {
 	}
 	// Three workers agree that row 0 is a movie priced ~100.
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", w, 0, "category", tabular.LabelValue(1))
 	}
 	for i, x := range []float64{99, 100, 101} {
 		w := tabular.WorkerID([]string{"w1", "w2", "w3"}[i])
-		if err := p.Submit("a", w, 0, "price", tabular.NumberValue(x)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", w, 0, "price", tabular.NumberValue(x))
 	}
 	res, err := p.RunInference("a")
 	if err != nil {
@@ -191,53 +219,12 @@ func TestTCrowdAssignmentEngine(t *testing.T) {
 		} else {
 			v = tabular.NumberValue(50)
 		}
-		if err := p.Submit("a", "w1", task.Row, task.Column, v); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", "w1", task.Row, task.Column, v)
 	}
 	// Warm path: engine refreshes and selects by information gain.
 	tasks, err = p.RequestTasks("a", "w2", 3)
 	if err != nil || len(tasks) == 0 {
 		t.Fatalf("warm start: %v %v", tasks, err)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	p := New(7)
-	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 2, RefreshEvery: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit("a", "w1", 0, "category", tabular.LabelValue(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit("a", "w2", 1, "price", tabular.NumberValue(7.5)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj, err := back.Project("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.Log.Len() != 2 {
-		t.Fatalf("lost answers: %d", proj.Log.Len())
-	}
-	a := proj.Log.At(0)
-	if a.Worker != "w1" || !a.Value.Equal(tabular.LabelValue(2)) {
-		t.Fatalf("answer mangled: %+v", a)
-	}
-	if proj.refreshEvery != 3 {
-		t.Fatalf("refresh cadence lost across save/load: %d", proj.refreshEvery)
-	}
-	// Corrupt input.
-	if _, err := Load(bytes.NewBufferString("not json"), 1); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 
@@ -263,9 +250,7 @@ func TestPlatformWithSimulatedCrowd(t *testing.T) {
 			for _, task := range tasks {
 				j := ds.Table.Schema.ColumnIndex(task.Column)
 				v := crowd.AnswerValue(w, tabular.Cell{Row: task.Row, Col: j})
-				if err := p.Submit("sim", w.ID, task.Row, task.Column, v); err != nil {
-					t.Fatal(err)
-				}
+				mustSubmit(t, p, "sim", w.ID, task.Row, task.Column, v)
 			}
 		}
 	}

@@ -18,7 +18,7 @@ const homeURL = "http://home-node:8080"
 func publishOnce(t *testing.T, p *Platform, project string, round int) *InferenceResult {
 	t.Helper()
 	w := fmt.Sprintf("w%d", round)
-	if _, err := p.SubmitBatch(project, []tabular.Answer{catAnswer(w, round%3)}); err != nil {
+	if _, err := p.SubmitBatch(project, []tabular.Answer{catAnswer(w, round%3)}, nil); err != nil {
 		t.Fatalf("submit round %d: %v", round, err)
 	}
 	res, err := p.RunInference(project)
@@ -79,7 +79,7 @@ func TestReplicaApplyAndServe(t *testing.T) {
 
 	// Every write path rejects with the typed referral.
 	var nh *NotHomeError
-	_, submitErr := follower.SubmitBatch("books", []tabular.Answer{catAnswer("wx", 1)})
+	_, submitErr := follower.SubmitBatch("books", []tabular.Answer{catAnswer("wx", 1)}, nil)
 	if !errors.As(submitErr, &nh) || nh.Home != homeURL {
 		t.Fatalf("follower submit: %v", submitErr)
 	}

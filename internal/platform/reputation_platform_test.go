@@ -89,7 +89,7 @@ func TestReputationVerdictsBatchSplitInvariant(t *testing.T) {
 		p := newRepPlatform(t, rows)
 		for at := 0; at < len(answers); at += batch {
 			end := min(at+batch, len(answers))
-			if _, err := p.SubmitBatchMeta("rep", answers[at:end], metas[at:end]); err != nil {
+			if _, err := p.SubmitBatch("rep", answers[at:end], metas[at:end]); err != nil {
 				t.Fatalf("batch=%d at=%d: %v", batch, at, err)
 			}
 		}
@@ -132,7 +132,7 @@ func TestReputationBanRejectsSubmissionsAndTasks(t *testing.T) {
 	answers, metas := spamStream(rows, 3, 1)
 	var bannedAt int
 	for i := range answers {
-		_, err := p.SubmitBatchMeta("rep", answers[i:i+1], metas[i:i+1])
+		_, err := p.SubmitBatch("rep", answers[i:i+1], metas[i:i+1])
 		if err == nil {
 			continue
 		}
@@ -179,7 +179,7 @@ func TestQuarantineStarvesAssignment(t *testing.T) {
 	const rows = 18
 	p := newRepPlatform(t, rows+1) // one spare row for the post-quarantine submission
 	answers, metas := spamStream(rows, 3, 1)
-	if _, err := p.SubmitBatchMeta("rep", answers, metas); err != nil {
+	if _, err := p.SubmitBatch("rep", answers, metas); err != nil {
 		t.Fatal(err)
 	}
 	infos, _, err := p.WorkerReputations("rep")
@@ -202,7 +202,7 @@ func TestQuarantineStarvesAssignment(t *testing.T) {
 	// Submissions from quarantine are still accepted — recovery and
 	// escalation both need the stream.
 	extra := tabular.Answer{Worker: "s1", Cell: tabular.Cell{Row: rows, Col: 0}, Value: tabular.LabelValue(0)}
-	if _, err := p.SubmitBatchMeta("rep", []tabular.Answer{extra}, []AnswerMeta{honestMeta()}); err != nil {
+	if _, err := p.SubmitBatch("rep", []tabular.Answer{extra}, []AnswerMeta{honestMeta()}); err != nil {
 		t.Fatalf("quarantined submission rejected: %v", err)
 	}
 }

@@ -48,7 +48,7 @@ func banPlatform(t *testing.T, fs wal.FS, rows int) (*Platform, int) {
 	accepted := 0
 	sawBan := false
 	for i := range answers {
-		_, err := p.SubmitBatchMeta("guard", answers[i:i+1], metas[i:i+1])
+		_, err := p.SubmitBatch("guard", answers[i:i+1], metas[i:i+1])
 		switch {
 		case err == nil:
 			accepted++
@@ -125,7 +125,7 @@ func TestWALBanSurvivesCleanRestart(t *testing.T) {
 
 	// Wire-visible consequences hold after restart, on a fresh cell.
 	bad := tabular.Answer{Worker: "s1", Cell: tabular.Cell{Row: rows, Col: 0}, Value: tabular.LabelValue(0)}
-	if _, err := p2.SubmitBatchMeta("guard", []tabular.Answer{bad}, nil); !errors.Is(err, ErrWorkerBanned) {
+	if _, err := p2.SubmitBatch("guard", []tabular.Answer{bad}, nil); !errors.Is(err, ErrWorkerBanned) {
 		t.Fatalf("banned submission after recovery: %v", err)
 	}
 	if _, err := p2.RequestTasks("guard", "s1", 1); !errors.Is(err, ErrWorkerBanned) {
@@ -167,7 +167,7 @@ func TestWALBanSurvivesHardCrash(t *testing.T) {
 		t.Fatalf("ban lost in crash recovery: %+v", got)
 	}
 	bad := tabular.Answer{Worker: "s1", Cell: tabular.Cell{Row: rows, Col: 0}, Value: tabular.LabelValue(0)}
-	if _, err := p2.SubmitBatchMeta("guard", []tabular.Answer{bad}, nil); !errors.Is(err, ErrWorkerBanned) {
+	if _, err := p2.SubmitBatch("guard", []tabular.Answer{bad}, nil); !errors.Is(err, ErrWorkerBanned) {
 		t.Fatalf("banned submission after crash recovery: %v", err)
 	}
 }

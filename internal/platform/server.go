@@ -22,15 +22,17 @@ import (
 //
 // The versioned surface (stable within /v1):
 //
-//	POST /v1/projects                     {"id", "schema", "rows"}
-//	GET  /v1/projects                     -> ["id", ...]
-//	GET  /v1/projects/{id}/tasks?worker=u&count=k
-//	POST /v1/projects/{id}/answers        one answer or {"answers": [...]} batch
-//	GET  /v1/projects/{id}/estimates      generation-pinned read (see below)
-//	GET  /v1/projects/{id}/snapshot       alias of /estimates (the endpoints merged)
-//	GET  /v1/projects/{id}/watch          generation-bump stream (long-poll or SSE)
-//	GET  /v1/projects/{id}/stats          collection progress
-//	GET  /v1/stats                        shard-scheduler metrics
+//	POST   /v1/projects                     {"id", "schema", "rows"}
+//	GET    /v1/projects                     -> ["id", ...]
+//	DELETE /v1/projects/{id}                delete the project and its log
+//	GET    /v1/projects/{id}/tasks?worker=u&count=k
+//	POST   /v1/projects/{id}/answers        one answer or {"answers": [...]} batch
+//	GET    /v1/projects/{id}/estimates      generation-pinned read (see below)
+//	GET    /v1/projects/{id}/snapshot       alias of /estimates (the endpoints merged)
+//	GET    /v1/projects/{id}/watch          generation-bump stream (long-poll or SSE)
+//	GET    /v1/projects/{id}/stats          collection progress
+//	GET    /v1/projects/{id}/workers        worker reputation roster
+//	GET    /v1/stats                        shard-scheduler metrics
 //
 // All reads of model state are generation-pinned: every response serves
 // one immutable published InferenceResult, identified by its generation,
@@ -193,7 +195,7 @@ func (s *Server) listProjects(w http.ResponseWriter, r *http.Request) {
 
 // deleteProject removes a project and destroys its durable log (204 on
 // success). Deletion is permanent: the answers are paid human work, so
-// export them first if they matter (GET estimates / the -state export).
+// read out what matters first (GET estimates).
 func (s *Server) deleteProject(w http.ResponseWriter, r *http.Request) {
 	if err := s.p.DeleteProject(r.PathValue("id")); err != nil {
 		writeErr(w, err)
@@ -249,7 +251,7 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 // project's precomputed label index. Only immutable project state
 // (schema, label maps) is touched, so it runs without the platform lock.
 func resolveAnswer(proj *Project, a api.Answer) (tabular.Answer, AnswerMeta, error) {
-	meta := AnswerMeta{WorkTimeMs: a.WorkTimeMs, Client: a.Client}
+	meta := AnswerMeta{WorkTimeMs: a.WorkTimeMs}
 	if a.WorkTimeMs < 0 {
 		return tabular.Answer{}, meta, fmt.Errorf("platform: negative work_time_ms %d", a.WorkTimeMs)
 	}
@@ -306,8 +308,7 @@ func resolveBatch(proj *Project, answers []api.Answer) ([]tabular.Answer, []Answ
 // reported, nothing recorded on any failure) and recorded with at most one
 // coalesced refresh enqueue. Recorded answers are always acknowledged 201;
 // shard backpressure surfaces as refresh:"deferred" plus a Retry-After
-// hint, never as a per-answer 429 (that legacy behaviour lives only on the
-// unversioned route).
+// hint, never as a shard_saturated 429.
 func (s *Server) submitV1(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req api.SubmitAnswersRequest
@@ -346,7 +347,7 @@ func (s *Server) submitV1(w http.ResponseWriter, r *http.Request) {
 	resolved, metas, bad := resolveBatch(proj, answers)
 	if len(bad) == 0 {
 		var res BatchResult
-		res, err = s.p.SubmitBatchMeta(id, resolved, metas)
+		res, err = s.p.SubmitBatch(id, resolved, metas)
 		if err == nil {
 			if res.Refresh == RefreshDeferred {
 				w.Header().Set("Retry-After", "1")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,19 +73,15 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // seedProject creates a project with a few answers and one published
 // snapshot. RefreshEvery is 1 so every submission exercises the refresh
-// enqueue (the backpressure tests need each Submit to touch the queue).
+// enqueue (the backpressure tests need each submission to touch the queue).
 func seedProject(t *testing.T, p *Platform, id string) {
 	t.Helper()
 	if _, err := p.CreateProject(id, demoSchema(), ProjectConfig{Rows: 3, RefreshEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit(id, w, 0, "category", tabular.LabelValue(1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Submit(id, w, 0, "price", tabular.NumberValue(100)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, id, w, 0, "category", tabular.LabelValue(1))
+		mustSubmit(t, p, id, w, 0, "price", tabular.NumberValue(100))
 	}
 	if _, err := p.RunInference(id); err != nil {
 		t.Fatal(err)
@@ -103,9 +98,7 @@ func TestSubmitPublishesSnapshotAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(2)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", w, 0, "category", tabular.LabelValue(2))
 	}
 	st, _ := p.Stats("a")
 	waitFor(t, func() bool {
@@ -124,8 +117,8 @@ func TestSubmitPublishesSnapshotAsync(t *testing.T) {
 // TestSnapshotNeverBlocksOnSaturatedShard is the acceptance-criterion test
 // for non-blocking reads: with the project's shard wedged (stuck worker,
 // full queue), Snapshot still serves the last published estimates
-// immediately, RunInference and Submit surface typed backpressure, and the
-// recorded answer is not lost.
+// immediately, RunInference surfaces typed backpressure, SubmitBatch reports
+// the shed refresh, and the recorded answer is not lost.
 func TestSnapshotNeverBlocksOnSaturatedShard(t *testing.T) {
 	p := NewWithOptions(42, Options{Workers: 1, QueueDepth: 1})
 	defer p.Close()
@@ -161,10 +154,13 @@ func TestSnapshotNeverBlocksOnSaturatedShard(t *testing.T) {
 		t.Fatalf("RunInference on saturated shard: %v", err)
 	}
 
-	// Submission: answer recorded, refresh shed, typed error returned.
-	err = p.Submit("a", "w9", 1, "price", tabular.NumberValue(7))
-	if !errors.Is(err, shard.ErrShardSaturated) {
-		t.Fatalf("Submit on saturated shard: %v", err)
+	// Submission: answer recorded, refresh shed and reported as deferred.
+	sub, err := p.SubmitBatch("a", []tabular.Answer{{Worker: "w9", Cell: tabular.Cell{Row: 1, Col: 1}, Value: tabular.NumberValue(7)}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Refresh != RefreshDeferred || !errors.Is(sub.RefreshErr, shard.ErrShardSaturated) {
+		t.Fatalf("SubmitBatch on saturated shard: %+v", sub)
 	}
 	proj, _ := p.Project("a")
 	if !proj.Log.HasAnswered("w9", tabular.Cell{Row: 1, Col: 1}) {
@@ -219,9 +215,7 @@ func TestShardIsolationAcrossProjects(t *testing.T) {
 	}
 	// ...while the cold project's refreshes proceed, promptly and with
 	// fresh data.
-	if err := p.Submit(coldID, "w8", 1, "price", tabular.NumberValue(55)); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, p, coldID, "w8", 1, "price", tabular.NumberValue(55))
 	done := make(chan error, 1)
 	var res *InferenceResult
 	go func() {
@@ -364,9 +358,7 @@ func TestRefreshCadenceGatesEnqueue(t *testing.T) {
 	}
 	submit := func(w string, row int) {
 		t.Helper()
-		if err := p.Submit("a", tabular.WorkerID(w), row, "price", tabular.NumberValue(9)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", tabular.WorkerID(w), row, "price", tabular.NumberValue(9))
 	}
 	enqueued := func() uint64 {
 		var n uint64
@@ -409,40 +401,45 @@ func TestShedRefreshRetriesNextSubmission(t *testing.T) {
 	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 3, RefreshEvery: 2}); err != nil {
 		t.Fatal(err)
 	}
-	submit := func(w string, row int) error {
-		return p.Submit("a", tabular.WorkerID(w), row, "price", tabular.NumberValue(9))
+	submit := func(w string, row int) BatchResult {
+		t.Helper()
+		res, err := p.SubmitBatch("a", []tabular.Answer{{Worker: tabular.WorkerID(w), Cell: tabular.Cell{Row: row, Col: 1}, Value: tabular.NumberValue(9)}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	drained := func() bool {
 		m := p.ShardMetrics()[0]
 		return m.Depth == 0 && m.Completed == m.Enqueued
 	}
 	// Bootstrap a snapshot and drain (s1 bootstraps, s2 crosses cadence 2).
-	if err := submit("w1", 0); err != nil {
-		t.Fatal(err)
+	if res := submit("w1", 0); res.RefreshErr != nil {
+		t.Fatal(res.RefreshErr)
 	}
-	if err := submit("w2", 0); err != nil {
-		t.Fatal(err)
+	if res := submit("w2", 0); res.RefreshErr != nil {
+		t.Fatal(res.RefreshErr)
 	}
 	waitFor(t, func() bool { _, err := p.Snapshot("a"); return err == nil })
 	waitFor(t, drained)
 
 	release := wedge(t, p, "a", 1)
 	defer release()
-	// s3 is mid-cadence: no enqueue attempted, so no error even wedged.
-	if err := submit("w3", 0); err != nil {
-		t.Fatal(err)
+	// s3 is mid-cadence: no enqueue attempted, so nothing shed even wedged.
+	if res := submit("w3", 0); res.Refresh != RefreshNone || res.RefreshErr != nil {
+		t.Fatalf("mid-cadence submit on wedged shard: %+v", res)
 	}
 	// s4 crosses the cadence; the enqueue is shed and the counter rewound.
-	if err := submit("w1", 1); !errors.Is(err, shard.ErrShardSaturated) {
-		t.Fatalf("cadence-crossing submit on wedged shard: %v", err)
+	if res := submit("w1", 1); res.Refresh != RefreshDeferred || !errors.Is(res.RefreshErr, shard.ErrShardSaturated) {
+		t.Fatalf("cadence-crossing submit on wedged shard: %+v", res)
 	}
 	release()
 	waitFor(t, drained)
 	// Because of the rewind, s5 retries immediately (without it, s5 would
 	// be treated as mid-cadence and the shed answers would stay
 	// unabsorbed until a full extra window).
-	if err := submit("w2", 1); err != nil {
-		t.Fatal(err)
+	if res := submit("w2", 1); res.RefreshErr != nil {
+		t.Fatal(res.RefreshErr)
 	}
 	st, _ := p.Stats("a")
 	waitFor(t, func() bool {
@@ -472,22 +469,6 @@ func TestCreateProjectRefreshEveryOverHTTP(t *testing.T) {
 	}
 	if proj.refreshEvery != 1 {
 		t.Fatalf("refresh_every not applied: %d", proj.refreshEvery)
-	}
-}
-
-// TestLoadClosesSchedulerOnError exercises LoadWithOptions' error path (a
-// valid envelope with a corrupt answers blob): the partially built
-// platform must be abandoned with an error, not returned.
-func TestLoadClosesSchedulerOnError(t *testing.T) {
-	corrupt := `{"projects": [{
-	  "id": "a",
-	  "schema": {"key": "item", "columns": [
-	    {"name": "category", "type": "categorical", "labels": ["x", "y"]}]},
-	  "entities": ["e1", "e2"],
-	  "answers": "not an answers blob",
-	  "tcrowd_assignment": false}]}`
-	if _, err := Load(strings.NewReader(corrupt), 1); err == nil {
-		t.Fatal("corrupt answers blob accepted")
 	}
 }
 
@@ -525,9 +506,7 @@ func TestCloseDrainsPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(0)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", w, 0, "category", tabular.LabelValue(0))
 	}
 	p.Close() // must drain the queued refresh, publishing a snapshot
 	res, err := p.Snapshot("a")
@@ -541,7 +520,11 @@ func TestCloseDrainsPlatform(t *testing.T) {
 	if _, err := p.RunInference("a"); !errors.Is(err, shard.ErrClosed) {
 		t.Fatalf("RunInference after Close: %v", err)
 	}
-	if err := p.Submit("a", "w4", 1, "price", tabular.NumberValue(3)); !errors.Is(err, shard.ErrClosed) {
-		t.Fatalf("Submit after Close: %v", err)
+	sub, err := p.SubmitBatch("a", []tabular.Answer{{Worker: "w4", Cell: tabular.Cell{Row: 1, Col: 1}, Value: tabular.NumberValue(3)}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Refresh != RefreshShutdown || !errors.Is(sub.RefreshErr, shard.ErrClosed) {
+		t.Fatalf("SubmitBatch after Close: %+v", sub)
 	}
 }

@@ -31,9 +31,7 @@ func TestRunInferenceStreamsDelta(t *testing.T) {
 	}
 	submit := func(worker string, row int, col string, v tabular.Value) {
 		t.Helper()
-		if err := p.Submit("r", tabular.WorkerID(worker), row, col, v); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "r", tabular.WorkerID(worker), row, col, v)
 	}
 	for row := 0; row < 4; row++ {
 		for _, w := range []string{"ann", "bob", "cho"} {
@@ -109,7 +107,7 @@ func TestRefreshHoldsEachAnswerTwice(t *testing.T) {
 			sizes := []int{1, 7, 50}
 			for i, k := 0, 0; i < len(answers); k++ {
 				n := min(sizes[k%len(sizes)], len(answers)-i)
-				res, err := p.SubmitBatch("r", answers[i:i+n])
+				res, err := p.SubmitBatch("r", answers[i:i+n], nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -69,7 +69,7 @@ func runSpamLoop(t *testing.T, ds *simulate.Dataset, seed int64, tcrowd bool) fl
 		if len(batch) == 0 {
 			continue
 		}
-		if _, err := p.SubmitBatchMeta(id, batch, meta); err != nil {
+		if _, err := p.SubmitBatch(id, batch, meta); err != nil {
 			t.Fatal(err)
 		}
 		answers += len(batch)
@@ -194,7 +194,7 @@ func TestRequestTasksConcurrentWithSubmitsAndRefreshes(t *testing.T) {
 						batch[i] = tabular.Answer{Worker: u, Cell: tabular.Cell{Row: task.Row, Col: demoSchema().ColumnIndex(task.Column)}, Value: v}
 						meta[i] = AnswerMeta{WorkTimeMs: 2000}
 					}
-					if _, err := p.SubmitBatchMeta(id, batch, meta); err != nil {
+					if _, err := p.SubmitBatch(id, batch, meta); err != nil {
 						errs <- fmt.Errorf("worker %s: %w", u, err)
 						return
 					}
@@ -253,7 +253,7 @@ func TestTasksViewCatchesUpBetweenPublishes(t *testing.T) {
 		seed = append(seed, tabular.Answer{Worker: "s1", Cell: tabular.Cell{Row: r, Col: 0}, Value: tabular.LabelValue(r % 3)})
 		seed = append(seed, tabular.Answer{Worker: "s2", Cell: tabular.Cell{Row: r, Col: 1}, Value: tabular.NumberValue(float64(10 * r))})
 	}
-	if _, err := p.SubmitBatch(id, seed); err != nil {
+	if _, err := p.SubmitBatch(id, seed, nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := p.RunInference(id)
@@ -275,7 +275,7 @@ func TestTasksViewCatchesUpBetweenPublishes(t *testing.T) {
 			v = tabular.NumberValue(float64(10 * first.Row))
 		}
 		a := tabular.Answer{Worker: tabular.WorkerID(fmt.Sprintf("c%d", i)), Cell: tabular.Cell{Row: first.Row, Col: col}, Value: v}
-		if _, err := p.SubmitBatch(id, []tabular.Answer{a}); err != nil {
+		if _, err := p.SubmitBatch(id, []tabular.Answer{a}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

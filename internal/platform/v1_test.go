@@ -253,7 +253,7 @@ func TestSubmitBatchRejectsAtomically(t *testing.T) {
 		{Worker: "w1", Cell: tabular.Cell{Row: 9, Col: 1}, Value: tabular.NumberValue(9)}, // bad row
 		{Worker: "w1", Cell: tabular.Cell{Row: 0, Col: 1}, Value: tabular.NumberValue(9)}, // intra-batch dup
 	}
-	_, err := p.SubmitBatch("a", answers)
+	_, err := p.SubmitBatch("a", answers, nil)
 	var be *BatchError
 	if !errors.As(err, &be) || len(be.Items) != 2 {
 		t.Fatalf("batch error: %v", err)
@@ -283,12 +283,8 @@ func TestV1EstimatesPagination(t *testing.T) {
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
 		for row := 0; row < 4; row++ {
-			if err := p.Submit("a", w, row, "category", tabular.LabelValue(row%3)); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Submit("a", w, row, "price", tabular.NumberValue(float64(10*row+1))); err != nil {
-				t.Fatal(err)
-			}
+			mustSubmit(t, p, "a", w, row, "category", tabular.LabelValue(row%3))
+			mustSubmit(t, p, "a", w, row, "price", tabular.NumberValue(float64(10*row+1)))
 		}
 	}
 	if _, err := p.RunInference("a"); err != nil { // publish a full-log generation
@@ -412,9 +408,7 @@ func TestTasksNotBlockedByWedgedShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-			if err := p.Submit(id, w, 0, "category", tabular.LabelValue(1)); err != nil {
-				t.Fatal(err)
-			}
+			mustSubmit(t, p, id, w, 0, "category", tabular.LabelValue(1))
 		}
 		// Co-sharded projects share a depth-1 queue: let each settle.
 		waitFor(t, idle)
@@ -424,7 +418,7 @@ func TestTasksNotBlockedByWedgedShard(t *testing.T) {
 	defer release()
 	// The busy project's log moves past its published view; the refresh
 	// it is due is shed by the wedged queue.
-	res, err := p.SubmitBatch(busyID, []tabular.Answer{{Worker: "w4", Cell: tabular.Cell{Row: 1, Col: 1}, Value: tabular.NumberValue(8)}})
+	res, err := p.SubmitBatch(busyID, []tabular.Answer{{Worker: "w4", Cell: tabular.Cell{Row: 1, Col: 1}, Value: tabular.NumberValue(8)}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,9 +472,7 @@ func TestRequestTasksEnqueuesNoShardJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", w, 0, "category", tabular.LabelValue(1))
 	}
 	proj, _ := p.Project("a")
 	waitFor(t, func() bool {
@@ -520,9 +512,7 @@ func TestTasksBoundedWaitBehindBusyShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, p, "a", w, 0, "category", tabular.LabelValue(1))
 	}
 	proj, _ := p.Project("a")
 	waitFor(t, func() bool {
@@ -538,9 +528,7 @@ func TestTasksBoundedWaitBehindBusyShard(t *testing.T) {
 	}
 	waitFor(t, func() bool { return p.ShardMetrics()[0].Depth == 0 }) // blocker occupies the worker
 	// The next answer's refresh queues behind the blocker.
-	if err := p.Submit("a", "w4", 1, "price", tabular.NumberValue(8)); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, p, "a", "w4", 1, "price", tabular.NumberValue(8))
 	if d := p.ShardMetrics()[0].Depth; d == 0 {
 		t.Fatal("refresh not queued behind the busy worker")
 	}

@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -49,12 +47,10 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		want = append(want, catAnswer("w1", r))
 	}
-	if _, err := p.SubmitBatch("alpha", want); err != nil {
+	if _, err := p.SubmitBatch("alpha", want, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit("alpha", "w2", 1, "price", tabular.NumberValue(99)); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, p, "alpha", "w2", 1, "price", tabular.NumberValue(99))
 	want = append(want, tabular.Answer{Worker: "w2", Cell: tabular.Cell{Row: 1, Col: 1}, Value: tabular.NumberValue(99)})
 	if err := p.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -111,7 +107,7 @@ func TestCrashRecoveryLosesNoAcknowledgedAnswers(t *testing.T) {
 				for r := row; r < row+3 && r < rows; r++ {
 					batch = append(batch, catAnswer(name, r))
 				}
-				if _, err := p.SubmitBatch("crash", batch); err != nil {
+				if _, err := p.SubmitBatch("crash", batch, nil); err != nil {
 					if !errors.Is(err, ErrDurability) {
 						t.Errorf("worker %s: unexpected error %v", name, err)
 					}
@@ -180,7 +176,7 @@ func TestReplayEquivalence(t *testing.T) {
 				})
 			}
 		}
-		if _, err := p.SubmitBatch("eq", batch); err != nil {
+		if _, err := p.SubmitBatch("eq", batch, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +231,7 @@ func TestCloseFlushesWALAndIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := []tabular.Answer{catAnswer("w1", 0), catAnswer("w1", 1), catAnswer("w1", 2)}
-	if _, err := p.SubmitBatch("flush", batch); err != nil {
+	if _, err := p.SubmitBatch("flush", batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
@@ -269,13 +265,13 @@ func TestDurabilityFailureLeavesNoTrace(t *testing.T) {
 
 	fs.FailWrite(1)
 	batch := []tabular.Answer{catAnswer("w1", 0)}
-	if _, err := p.SubmitBatch("faulty", batch); !errors.Is(err, ErrDurability) {
+	if _, err := p.SubmitBatch("faulty", batch, nil); !errors.Is(err, ErrDurability) {
 		t.Fatalf("want ErrDurability, got %v", err)
 	}
 	if proj.Log.Len() != 0 {
 		t.Fatalf("rejected batch leaked into log: %d answers", proj.Log.Len())
 	}
-	if _, err := p.SubmitBatch("faulty", batch); err != nil {
+	if _, err := p.SubmitBatch("faulty", batch, nil); err != nil {
 		t.Fatalf("retry after healed append: %v", err)
 	}
 	fs.Crash(0)
@@ -302,7 +298,7 @@ func TestPlatformTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	durable := []tabular.Answer{catAnswer("w1", 0), catAnswer("w1", 1)}
-	if _, err := p.SubmitBatch("torn", durable); err != nil {
+	if _, err := p.SubmitBatch("torn", durable, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
@@ -315,7 +311,7 @@ func TestPlatformTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.SubmitBatch("torn", []tabular.Answer{catAnswer("w2", 2)}); err != nil {
+	if _, err := p2.SubmitBatch("torn", []tabular.Answer{catAnswer("w2", 2)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	fs.Crash(5) // 5 bytes of the unsynced frame reach the platter
@@ -401,7 +397,7 @@ func TestDeleteProjectDurable(t *testing.T) {
 		if _, err := p.CreateProject(id, demoSchema(), ProjectConfig{Rows: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.SubmitBatch(id, []tabular.Answer{catAnswer("w1", 0)}); err != nil {
+		if _, err := p.SubmitBatch(id, []tabular.Answer{catAnswer("w1", 0)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -481,7 +477,7 @@ func TestWatchEventChangedCells(t *testing.T) {
 	if _, err := p.CreateProject("small", demoSchema(), ProjectConfig{Rows: 4, RefreshEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SubmitBatch("small", []tabular.Answer{catAnswer("w1", 0), catAnswer("w1", 1)}); err != nil {
+	if _, err := p.SubmitBatch("small", []tabular.Answer{catAnswer("w1", 0), catAnswer("w1", 1)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.RunInference("small"); err != nil {
@@ -511,7 +507,7 @@ func TestWatchEventChangedCells(t *testing.T) {
 	for r := 0; r < rows; r++ {
 		batch = append(batch, catAnswer("w1", r))
 	}
-	if _, err := p.SubmitBatch("big", batch); err != nil {
+	if _, err := p.SubmitBatch("big", batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.RunInference("big"); err != nil {
@@ -527,99 +523,6 @@ func TestWatchEventChangedCells(t *testing.T) {
 	if !ev.CellsOverflow || len(ev.Cells) != api.MaxChangedCells {
 		t.Fatalf("overflow publish: overflow=%v len(cells)=%d want capped at %d",
 			ev.CellsOverflow, len(ev.Cells), api.MaxChangedCells)
-	}
-}
-
-// TestSaveToFileAtomicExport pins the -state save fix: the export is
-// written via a same-directory temp file and rename, leaves no temp
-// droppings behind, and round-trips through ImportProjects.
-func TestSaveToFileAtomicExport(t *testing.T) {
-	dir := t.TempDir()
-	p := New(19)
-	defer p.Close()
-	if _, err := p.CreateProject("exp", demoSchema(), ProjectConfig{Rows: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.SubmitBatch("exp", []tabular.Answer{catAnswer("w1", 0), catAnswer("w1", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "state.json")
-	if err := p.SaveToFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SaveToFile(path); err != nil { // overwrite is atomic too
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "state.json" {
-		t.Fatalf("export left droppings: %v", entries)
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	p2 := New(19)
-	defer p2.Close()
-	n, err := p2.ImportProjects(f)
-	if err != nil || n != 1 {
-		t.Fatalf("import: n=%d err=%v", n, err)
-	}
-	src, _ := p.Project("exp")
-	dst, _ := p2.Project("exp")
-	if !reflect.DeepEqual(dst.Log.All(), src.Log.All()) {
-		t.Fatal("exported answers did not round-trip")
-	}
-}
-
-// TestImportIntoDurablePlatform: ImportProjects into a WAL-backed
-// platform must write the imported answers through the log — a crash
-// right after import loses nothing.
-func TestImportIntoDurablePlatform(t *testing.T) {
-	src := New(23)
-	defer src.Close()
-	if _, err := src.CreateProject("mig", demoSchema(), ProjectConfig{Rows: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.SubmitBatch("mig", []tabular.Answer{catAnswer("w1", 0), catAnswer("w2", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
-	if err := src.SaveToFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	fs := wal.NewMemFS()
-	p := NewWithOptions(23, walTestOpts(fs, wal.SyncAlways))
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := p.ImportProjects(f)
-	f.Close()
-	if err != nil || n != 1 {
-		t.Fatalf("import: n=%d err=%v", n, err)
-	}
-	fs.Crash(0)
-	_ = p.Close()
-
-	p2, rep, err := Recover(23, walTestOpts(fs.Recovered(), wal.SyncAlways))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if rep.Projects != 1 || rep.Answers != 2 {
-		t.Fatalf("imported state lost in crash: report %+v", rep)
-	}
-	srcProj, _ := src.Project("mig")
-	recProj, _ := p2.Project("mig")
-	if !reflect.DeepEqual(recProj.Log.All(), srcProj.Log.All()) {
-		t.Fatal("recovered imported answers differ from source")
 	}
 }
 
@@ -643,10 +546,10 @@ func TestPerProjectFsyncPolicy(t *testing.T) {
 		t.Fatal("invalid fsync policy accepted")
 	}
 	hotBatch := []tabular.Answer{catAnswer("w1", 0), catAnswer("w1", 1)}
-	if _, err := p.SubmitBatch("hot", hotBatch); err != nil {
+	if _, err := p.SubmitBatch("hot", hotBatch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SubmitBatch("lazy", []tabular.Answer{catAnswer("w1", 0)}); err != nil {
+	if _, err := p.SubmitBatch("lazy", []tabular.Answer{catAnswer("w1", 0)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	fs.Crash(0) // hard kill: unsynced bytes are gone
@@ -679,7 +582,7 @@ func TestPerProjectFsyncPolicy(t *testing.T) {
 
 	// The override must survive the restart, not just the record: a batch
 	// accepted by the recovered platform is durable across a second crash.
-	if _, err := p2.SubmitBatch("hot", []tabular.Answer{catAnswer("w2", 2)}); err != nil {
+	if _, err := p2.SubmitBatch("hot", []tabular.Answer{catAnswer("w2", 2)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	fs2.Crash(0)
@@ -695,31 +598,5 @@ func TestPerProjectFsyncPolicy(t *testing.T) {
 	}
 	if hot3.Log.Len() != 3 {
 		t.Fatalf("post-recovery batch on fsync=always project not durable: %d answers", hot3.Log.Len())
-	}
-}
-
-// TestFsyncPolicySurvivesSaveImport pins the export round-trip: Save
-// carries the override and ImportProjects re-applies it.
-func TestFsyncPolicySurvivesSaveImport(t *testing.T) {
-	src := New(11)
-	if _, err := src.CreateProject("hot", demoSchema(), ProjectConfig{Rows: 2, FsyncPolicy: "interval"}); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	src.Close()
-	dst := New(11)
-	defer dst.Close()
-	if n, err := dst.ImportProjects(strings.NewReader(buf.String())); err != nil || n != 1 {
-		t.Fatalf("import: n=%d err=%v", n, err)
-	}
-	proj, err := dst.Project("hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.fsyncPolicy != "interval" {
-		t.Fatalf("imported override = %q, want interval", proj.fsyncPolicy)
 	}
 }
